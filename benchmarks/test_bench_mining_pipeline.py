@@ -3,10 +3,11 @@
 5220 Apache problem reports -> 50 unique bugs; ~500 GNOME reports -> 45;
 ~44,000 MySQL mailing-list messages -> 44.  Benchmarks the whole
 parse-and-narrow path per application, then the fast archive path on
-top of it: parallel sharded parsing (stall-bound regime, as in the
-harness scaling benchmark) and the content-addressed warm cache.  Both
-fast-path variants assert traces and mined records identical to the
-serial cold path -- speed never buys a different answer.
+top of it: the streamed parse over byte-ranges on parallel workers
+(stall-bound regime, as in the harness scaling benchmark) and the warm
+study memo behind ``mine.mysql``.  Both fast-path variants assert
+traces and mined records identical to the serial cold path -- speed
+never buys a different answer.
 """
 
 import dataclasses
@@ -15,13 +16,11 @@ import time
 from repro.bugdb import debbugs, gnats, mbox
 from repro.bugdb.enums import Application
 from repro.corpus.render import apache_raw_archive, gnome_raw_archive, mysql_raw_archive
+from repro.harness.telemetry import Telemetry
 from repro.mining import GNOME_STUDY_COMPONENTS, mine_apache, mine_gnome, mine_mysql
-from repro.pipeline import (
-    ParseMineCache,
-    format_for,
-    mine_archive_text,
-    parse_archive_sharded,
-)
+from repro.pipeline import ParseMineCache, format_for, parse_archive_streamed
+from repro.pipeline.records import result_from_payload
+from repro.studygraph import StudyContext, run_study
 
 #: Simulated per-record stall (I/O, decompression) for the parallel
 #: parse benchmark, mirroring the harness scaling benchmark's regime:
@@ -31,6 +30,10 @@ PARSE_STALL_SECONDS = 0.006
 
 #: Records in the stall-bound parallel parse benchmark.
 PARSE_STALL_RECORDS = 150
+
+#: Byte-ranges the stall-bound archive is cut into (enough to keep four
+#: workers busy to the end).
+PARSE_STALL_RANGES = 16
 
 #: Timing repetitions per configuration (min is reported).
 REPETITIONS = 2
@@ -84,7 +87,7 @@ def _stalled_parse_pr(chunk):
     return gnats.parse_pr(chunk)
 
 
-def test_bench_mining_parallel_parse_scaling(benchmark, apache):
+def test_bench_mining_parallel_parse_scaling(benchmark, apache, tmp_path):
     fmt = dataclasses.replace(
         format_for(Application.APACHE), parse_record=_stalled_parse_pr
     )
@@ -95,13 +98,21 @@ def test_bench_mining_parallel_parse_scaling(benchmark, apache):
     )
     serial_records = gnats.parse_archive(archive)
     assert len(serial_records) == PARSE_STALL_RECORDS
+    path = tmp_path / "stalled.gnats"
+    path.write_text(archive, encoding="utf-8")
+    budget = path.stat().st_size // PARSE_STALL_RANGES
+
+    def parse(workers):
+        return parse_archive_streamed(
+            fmt, path, max_shard_bytes=budget, workers=workers, keep_records=True
+        )
 
     wall = {}
     for workers in (1, 2, 4):
         best = float("inf")
         for _ in range(REPETITIONS):
             started = time.perf_counter()
-            parsed = parse_archive_sharded(fmt, archive, workers=workers)
+            parsed = parse(workers)
             best = min(best, time.perf_counter() - started)
             # Output equality: sharding can reorder completion, never
             # the record stream.
@@ -115,19 +126,13 @@ def test_bench_mining_parallel_parse_scaling(benchmark, apache):
         f"got {speedup_4:.2f}x ({wall[1]:.3f}s -> {wall[4]:.3f}s)"
     )
 
-    benchmark.pedantic(
-        parse_archive_sharded,
-        args=(fmt, archive),
-        kwargs={"workers": 4},
-        rounds=2,
-        iterations=1,
-    )
+    benchmark.pedantic(parse, args=(4,), rounds=2, iterations=1)
     benchmark.extra_info["wall_seconds"] = {
         str(workers): round(seconds, 4) for workers, seconds in wall.items()
     }
     benchmark.extra_info["speedup"] = (
         f"2 workers {speedup_2:.2f}x, 4 workers {speedup_4:.2f}x over serial "
-        f"({PARSE_STALL_RECORDS} records, "
+        f"({PARSE_STALL_RECORDS} records in {parsed.shards} byte-ranges, "
         f"{PARSE_STALL_SECONDS * 1000:.0f} ms stall each)"
     )
     benchmark.extra_info["determinism"] = (
@@ -135,41 +140,42 @@ def test_bench_mining_parallel_parse_scaling(benchmark, apache):
     )
 
 
-def test_bench_mining_mysql_warm_cache(benchmark, mysql, tmp_path):
-    archive = mysql_raw_archive(mysql)
-    serial = mine_mysql(mbox.parse_archive(archive))
-    cache = ParseMineCache(tmp_path)
+def test_bench_mining_mysql_warm_cache(benchmark, study, mysql, tmp_path):
+    serial = mine_mysql(mbox.parse_archive(mysql_raw_archive(mysql)))
+    fmt = format_for(Application.MYSQL)
+
+    def mine_through_memo():
+        context = StudyContext(
+            study=study, workers=1, cache=ParseMineCache(tmp_path), telemetry=Telemetry()
+        )
+        run = run_study(context, nodes=["mine.mysql"], outputs=["mined.mysql"])
+        return run, result_from_payload(run.outputs["mined.mysql"], fmt.item_from_dict)
 
     started = time.perf_counter()
-    cold = mine_archive_text(Application.MYSQL, archive, cache=cache)
+    cold_run, cold = mine_through_memo()
     cold_wall = time.perf_counter() - started
+    assert cold_run.cached == 0
 
     warm_wall = float("inf")
     for _ in range(REPETITIONS + 1):
         started = time.perf_counter()
-        warm = mine_archive_text(Application.MYSQL, archive, cache=cache)
+        warm_run, warm = mine_through_memo()
         warm_wall = min(warm_wall, time.perf_counter() - started)
-        assert warm.mine_cache_hit
+        assert warm_run.executed == 0
 
-    # Equality first: the cache may only ever return the serial answer.
-    for run in (cold, warm):
-        assert run.result.items == serial.items
-        assert run.result.trace.as_rows() == serial.trace.as_rows()
-    assert warm.result.trace.final == 44
+    # Equality first: the memo may only ever return the serial answer.
+    for result in (cold, warm):
+        assert result.items == serial.items
+        assert result.trace.as_rows() == serial.trace.as_rows()
+    assert warm.trace.final == 44
 
     speedup = cold_wall / warm_wall
     assert speedup > 5, (
-        f"warm cache must beat the cold path by >5x, got {speedup:.1f}x "
+        f"warm memo must beat the cold path by >5x, got {speedup:.1f}x "
         f"({cold_wall:.3f}s -> {warm_wall:.4f}s)"
     )
 
-    benchmark.pedantic(
-        mine_archive_text,
-        args=(Application.MYSQL, archive),
-        kwargs={"cache": cache},
-        rounds=3,
-        iterations=1,
-    )
+    benchmark.pedantic(mine_through_memo, rounds=3, iterations=1)
     benchmark.extra_info["cold_wall_seconds"] = round(cold_wall, 4)
     benchmark.extra_info["warm_wall_seconds"] = round(warm_wall, 4)
     benchmark.extra_info["speedup"] = f"{speedup:.1f}x cold -> warm"

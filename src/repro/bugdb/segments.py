@@ -40,6 +40,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
+from repro.fsio import atomic_write_json
+
 from .textindex import TextIndex
 
 MANIFEST_NAME = "manifest.json"
@@ -276,9 +278,7 @@ class SegmentedTextIndex:
             "next_segment_id": self._next_id,
             "segments": [info.to_dict() for info in self._segments],
         }
-        tmp = self._manifest_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, indent=1), encoding="utf-8")
-        os.replace(tmp, self._manifest_path)
+        atomic_write_json(self._manifest_path, payload, indent=1)
 
     def _reader(self, info: SegmentInfo) -> _SegmentReader:
         reader = self._readers.get(info.name)

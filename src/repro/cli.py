@@ -29,7 +29,7 @@ Usage (after ``pip install -e .``, or via ``python -m repro``)::
     repro figure gnome            # Figure 1 / 2 / 3 (ASCII)
     repro aggregate               # Section 5.4 numbers
     repro mine mysql              # run the mining pipeline, print the trace
-    repro mine run --application mysql --workers 4   # fast archive path
+    repro mine run --application mysql --cache-dir memo   # memoized mine
     repro replay --technique process-pairs
     repro campaign run --workers 4 --journal run.jsonl   # parallel, resumable
     repro campaign status --journal run.jsonl
@@ -108,11 +108,6 @@ def _cmd_mine_app(args: argparse.Namespace) -> int:
 
 
 def _cmd_mine_run(args: argparse.Namespace) -> int:
-    from repro.harness.telemetry import Telemetry
-    from repro.pipeline import mine_application
-    from repro.pipeline.cache import ParseMineCache
-    from repro.pipeline.runner import mine_archive_file
-
     if args.workers < 1:
         raise SystemExit("--workers must be at least 1")
     if args.max_shard_bytes is not None and args.max_shard_bytes < 1:
@@ -120,50 +115,56 @@ def _cmd_mine_run(args: argparse.Namespace) -> int:
     if not args.target_application:
         raise SystemExit("mine run requires --application")
     application = _application(args.target_application)
+    title = f"Mining narrowing for {application.display_name} (workers={args.workers})"
 
     if args.archive is not None:
         # Streaming byte-range path: the archive file is never loaded
-        # whole; shards are record-aligned byte ranges.
+        # whole; shards are record-aligned byte ranges.  No cache.
+        from repro.pipeline.runner import mine_archive_file
         from repro.pipeline.streamsplit import DEFAULT_MAX_SHARD_BYTES
 
-        cache = (
-            ParseMineCache(args.cache_dir)
-            if (args.cache_dir is not None and not args.no_cache)
-            else None
-        )
+        if args.cache_dir is not None:
+            raise SystemExit(
+                "--cache-dir names the study memo and does not apply to "
+                "--archive (the streaming file path keeps no cache)"
+            )
         run = mine_archive_file(
             application,
             args.archive,
             max_shard_bytes=args.max_shard_bytes or DEFAULT_MAX_SHARD_BYTES,
             workers=args.workers,
-            cache=cache,
-            telemetry=Telemetry(),
             index_dir=args.index_dir,
         )
+        rows, unique_bugs = run.result.trace.as_rows(), len(run.result.items)
+        footer = run.summary_lines()
     else:
         if args.max_shard_bytes is not None or args.index_dir is not None:
             raise SystemExit(
                 "--max-shard-bytes/--index-dir require --archive "
                 "(the streaming file path)"
             )
-        run = mine_application(
-            application,
-            scale=args.scale,
-            workers=args.workers,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-            telemetry=Telemetry(),
+        # The rendered archive mines through the study graph, memoized
+        # in --cache-dir exactly like ``repro study run``.
+        from repro.studygraph import StudyContext, default_registry, run_study
+
+        app = application.value
+        result = run_study(
+            StudyContext.default(
+                workers=args.workers,
+                cache_dir=None if args.no_cache else args.cache_dir,
+            ),
+            nodes=[f"mine.{app}"],
+            outputs=[f"mined.{app}"],
+            registry=default_registry().with_overrides(
+                {f"parsed.{app}": {"scale": args.scale}}
+            ),
         )
-    print(
-        format_table(
-            ["stage", "survivors"],
-            run.result.trace.as_rows(),
-            title=f"Mining narrowing for {application.display_name} "
-            f"(workers={args.workers})",
-        )
-    )
-    print(f"final unique bugs: {len(run.result.items)}")
-    for line in run.summary_lines():
+        mined = result.outputs[f"mined.{app}"]
+        rows, unique_bugs = mined["trace"], len(mined["items"])
+        footer = [f"memo: {result.executed} executed, {result.cached} cached"]
+    print(format_table(["stage", "survivors"], rows, title=title))
+    print(f"final unique bugs: {unique_bugs}")
+    for line in footer:
         print(line)
     return 0
 
@@ -1348,7 +1349,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         mine_app.set_defaults(func=_cmd_mine_app, application=app.value)
     mine_run = mine_sub.add_parser(
-        "run", help="fast archive path: parallel sharded parse + mine"
+        "run", help="memoized mine of a rendered archive, or stream an archive file"
     )
     mine_run.add_argument(
         "--application", dest="target_application", default=None,
@@ -1360,15 +1361,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mine_run.add_argument(
         "--workers", type=int, default=1,
-        help="parse-shard worker processes (traces are identical for any count)",
+        help="worker processes (traces are identical for any count)",
     )
     mine_run.add_argument(
         "--cache-dir", default=None,
-        help="content-addressed parse/mine cache directory",
+        help="study memo directory (without --archive; none by default)",
     )
     mine_run.add_argument(
         "--no-cache", action="store_true",
-        help="bypass the cache entirely, even with --cache-dir",
+        help="run without a memo, even with --cache-dir",
     )
     mine_run.add_argument(
         "--archive", default=None, metavar="PATH",

@@ -145,28 +145,28 @@ def mine_mysql(
 ) -> MiningResult[BugReport]:
     """Narrow a raw mailing-list archive to the unique study bugs.
 
-    The keyword stage is index-backed by default: an inverted
-    :class:`~repro.bugdb.textindex.TextIndex` prefilters the archive to
-    candidate messages, and only candidates are confirmed against the
-    compiled matcher, so the hit set is identical to a linear scan (the
-    linear path is kept as the verification oracle in the tests).
+    The keyword stage is a linear scan unless an index is passed: with a
+    positional ``index`` (an in-memory :class:`~repro.bugdb.textindex.
+    TextIndex` from :func:`build_message_index`, or the segmented index
+    the streamed parse builds), candidates are prefiltered through it
+    and only candidates are confirmed against the compiled matcher, so
+    the hit set is identical to the linear scan either way.  Building an
+    index just to probe it once costs more than the scan, so none is
+    built here.
 
     Args:
         messages: the parsed mbox archive.
         keywords: keyword stems to filter messages with (ablatable).
         deduplicator: duplicate-reduction strategy.
-        index: prebuilt positional index over ``messages`` (as built by
-            :func:`build_message_index`, possibly merged from parallel
-            shards); built here when omitted.
-        use_index: set False to force the linear reference scan.
+        index: prebuilt positional index over ``messages``; None scans.
+        use_index: set False to force the linear scan even when an
+            ``index`` is passed.
     """
     dedup = deduplicator or Deduplicator()
     matcher = KeywordMatcher(keywords)
     trace = NarrowingTrace()
     trace.record("raw messages", len(messages))
 
-    if index is None and use_index:
-        index = build_message_index(messages)
     matching = keyword_matching_messages(
         messages, matcher, index=index if use_index else None
     )

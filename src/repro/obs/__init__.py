@@ -1,7 +1,7 @@
 """repro.obs: unified tracing, metrics, and profiling.
 
 PRs 1-3 gave the reproduction three execution layers -- the harness
-campaign pool, the sharded parse/mine pipeline, and the study-graph
+campaign pool, the archive parse/mine pipeline, and the study-graph
 wave scheduler -- each with ad-hoc telemetry that could not be
 correlated.  This package is the one observability layer they all
 report into:

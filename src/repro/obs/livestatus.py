@@ -25,19 +25,18 @@ overhead budget the tracing path honours
 (``benchmarks/test_bench_livestatus.py`` enforces it).
 
 Layering: like the rest of :mod:`repro.obs`, nothing here imports from
-the wider ``repro`` package -- the scheduler and engine call in, never
-the other way around.
+the wider ``repro`` package beyond the stdlib-only :mod:`repro.fsio`
+-- the scheduler and engine call in, never the other way around.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.fsio import atomic_write_json
 from repro.obs.perfdb import family_medians, grid_family
 
 #: Snapshot format version.
@@ -57,24 +56,10 @@ DEFAULT_STALE_AFTER = 30.0
 def write_snapshot(path: str | Path, payload: Mapping[str, Any]) -> None:
     """Atomically replace ``path`` with ``payload`` as JSON.
 
-    Temp file + rename in the target directory: a concurrent reader
-    sees either the previous snapshot or this one, never a torn write.
+    A concurrent reader sees either the previous snapshot or this one,
+    never a torn write.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle, temp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(handle, "w", encoding="utf-8") as stream:
-            json.dump(payload, stream, separators=(",", ":"), sort_keys=True)
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
+    atomic_write_json(path, payload, separators=(",", ":"), sort_keys=True)
 
 
 def read_snapshot(path: str | Path) -> dict[str, Any] | None:

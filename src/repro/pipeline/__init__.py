@@ -1,43 +1,42 @@
-"""repro.pipeline: the fast archive path (parallel, cached, indexed).
+"""repro.pipeline: the archive path (one oracle, one fast path, one cache).
 
 The paper's Section 4 narrowing (5220 Apache reports -> 50, ~500 GNOME
 -> 45, ~44,000 MySQL messages -> 44) is the repo's biggest hot path.
-This package makes ``render -> parse_archive -> mine_*`` parallel,
-cached, and index-backed while keeping mined bug sets and narrowing
-traces bit-identical to the serial path:
+It has exactly one parse fast path, one oracle, and one cache:
 
 * :mod:`~repro.pipeline.formats` -- per-application
   :class:`~repro.pipeline.formats.ArchiveFormat` descriptors (render,
-  record-boundary split, chunk parse, mine, cache codec, version tags);
-* :mod:`~repro.pipeline.shardparse` -- sharded parsing on the fork-based
-  :mod:`repro.harness` pool with order-preserving merge, building
-  partial inverted indexes as a parse by-product;
+  record-boundary split, chunk parse, mine, payload codecs).
+  :meth:`~repro.pipeline.formats.ArchiveFormat.parse` is the serial
+  **oracle**: the study graph's ``parsed.<app>`` nodes use it, and every
+  faster path is asserted bit-identical to it;
 * :mod:`~repro.pipeline.streamsplit` -- byte-offset record boundaries
   over archive *files*: record-aligned shard byte-ranges scanned with
-  bounded memory, so multi-GB archives stream through
-  :func:`~repro.pipeline.shardparse.parse_archive_streamed` and land in
-  an LSM-style :class:`~repro.bugdb.segments.SegmentedTextIndex`;
-* :mod:`~repro.pipeline.cache` -- content-addressed (SHA-256 + version
-  tag) on-disk parse/mine store with explicit invalidation;
-* :mod:`~repro.pipeline.records` -- JSON codecs for cached records;
-* :mod:`~repro.pipeline.runner` -- :func:`mine_archive_text` /
-  :func:`mine_application`, tying the stages together with
-  :class:`~repro.harness.telemetry.Telemetry`.
+  bounded memory;
+* :mod:`~repro.pipeline.shardparse` --
+  :func:`~repro.pipeline.shardparse.parse_archive_streamed`, the **fast
+  path**: byte-ranges parsed inline or on the fork-based
+  :mod:`repro.harness` pool, optionally landing in an LSM-style
+  :class:`~repro.bugdb.segments.SegmentedTextIndex`;
+* :mod:`~repro.pipeline.runner` -- :func:`~repro.pipeline.runner.
+  mine_archive_file`, streamed parse then mine, with
+  :class:`~repro.harness.telemetry.Telemetry`;
+* :mod:`~repro.pipeline.cache` -- the content-addressed on-disk store
+  behind the study-graph memo, the **cache**;
+* :mod:`~repro.pipeline.records` -- JSON codecs for node payloads.
 
 **Equivalence contract**: for every application, any worker count, and
-any cache state, the pipeline's :class:`~repro.mining.pipeline.
-MiningResult` (items and trace) is identical to the serial cold path.
+any shard budget, the streamed path's records and
+:class:`~repro.mining.pipeline.MiningResult` (items and trace) are
+identical to the serial oracle.
 """
 
-from repro.pipeline.cache import CACHE_FORMAT_VERSION, ParseMineCache, archive_digest
+from repro.pipeline.cache import CACHE_FORMAT_VERSION, ParseMineCache
 from repro.pipeline.formats import FORMATS, ArchiveFormat, format_for
-from repro.pipeline.runner import PipelineRun, mine_application, mine_archive_text
+from repro.pipeline.runner import PipelineRun, mine_archive_file
 from repro.pipeline.shardparse import (
-    KIND_PARSE_SHARD,
     KIND_STREAM_SHARD,
-    ParsedArchive,
     StreamedParse,
-    parse_archive_sharded,
     parse_archive_streamed,
 )
 from repro.pipeline.streamsplit import (
@@ -53,18 +52,13 @@ __all__ = [
     "ByteRange",
     "CACHE_FORMAT_VERSION",
     "FORMATS",
-    "KIND_PARSE_SHARD",
     "KIND_STREAM_SHARD",
     "ParseMineCache",
-    "ParsedArchive",
     "PipelineRun",
     "StreamedParse",
-    "archive_digest",
     "format_byte_ranges",
     "format_for",
-    "mine_application",
-    "mine_archive_text",
-    "parse_archive_sharded",
+    "mine_archive_file",
     "parse_archive_streamed",
     "read_range",
     "shard_byte_ranges",

@@ -1,65 +1,42 @@
-"""Content-addressed on-disk cache for parsed archives and mined results.
+"""The content-addressed on-disk store behind the study-graph memo.
 
-Keys are the SHA-256 of the raw archive text plus a stage *tag* carrying
-the application and parser/miner version (see
-:class:`~repro.pipeline.formats.ArchiveFormat`).  Identical bytes mined
-by identical code hit; anything else -- a changed archive, a bumped
-parser, a different application -- misses into a different file.  There
-is deliberately no mtime or TTL logic: content addressing plus version
-tags *is* the invalidation policy, with :meth:`ParseMineCache.
-invalidate` as the explicit escape hatch (and ``repro mine run
---no-cache`` bypassing the cache entirely).
+This is the repo's one cache.  :func:`~repro.studygraph.scheduler.
+run_study` keys every node on its content digest (input artifact
+digests plus node params and version) and stores two entries per node
+under that key: a metadata tag (output digest, wall time) and a data tag
+(the payload).  Identical inputs run by identical code hit; anything
+else -- a changed corpus, a bumped node version, a different ``scale``
+-- misses into a different file.  There is deliberately no mtime or TTL
+logic: content addressing *is* the invalidation policy, with
+:meth:`ParseMineCache.invalidate` as the explicit escape hatch (and
+``--no-cache`` or no ``--cache-dir`` running without a memo at all).
 
 Entries are JSON files under ``cache_dir/<digest[:2]>/<digest>.<tag>.json``,
-written atomically (temp file + rename) so a crashed writer can never
-leave a half-entry that later reads as a hit.  Corrupt or unreadable
-entries are treated as misses, matching the journal's crash-safety
-stance in :mod:`repro.harness.journal`.
+written atomically (:func:`repro.fsio.atomic_write_json`) so a crashed
+writer can never leave a half-entry that later reads as a hit.  Corrupt
+or unreadable entries are treated as misses, matching the journal's
+crash-safety stance in :mod:`repro.harness.journal`.
 
-This mirrors the per-file analysis caches used for whole-kernel sweeps
+This mirrors the per-input analysis caches used for whole-kernel sweeps
 in *Faults in Linux 2.6* (Palix et al.): re-running over an unchanged
 input is a hash lookup, not a re-parse.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Any
 
 from repro import obs
+from repro.fsio import atomic_write_json
 
 #: Cache format version, embedded in every payload for debuggability.
 CACHE_FORMAT_VERSION = 1
 
 
-def archive_digest(text: str) -> str:
-    """SHA-256 hex digest of raw archive text (the cache's content key)."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def archive_file_digest(path: str | Path, *, block_size: int = 1 << 20) -> str:
-    """SHA-256 of an archive file, streamed in blocks.
-
-    Equals :func:`archive_digest` of the file's decoded text (the file
-    is the UTF-8 encoding), so file-fed and text-fed pipeline runs share
-    cache entries.
-    """
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        while True:
-            block = handle.read(block_size)
-            if not block:
-                break
-            digest.update(block)
-    return digest.hexdigest()
-
-
 class ParseMineCache:
-    """On-disk parse/mine cache rooted at ``cache_dir``.
+    """On-disk memo store rooted at ``cache_dir``.
 
     The directory is created lazily on first store, so constructing a
     cache never touches the filesystem.  Hit/miss counts accumulate on
@@ -102,30 +79,16 @@ class ParseMineCache:
         """Atomically write a payload for (digest, tag); returns its path."""
         path = self._entry_path(digest, tag)
         with obs.span("cache:store", tag=tag):
-            path.parent.mkdir(parents=True, exist_ok=True)
             payload = {
                 "cache_format": CACHE_FORMAT_VERSION,
                 "digest": digest,
                 "tag": tag,
                 "data": data,
             }
-            handle, temp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=path.name, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                    json.dump(payload, stream, separators=(",", ":"))
-                os.replace(temp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(temp_name)
-                except OSError:
-                    pass
-                raise
-            return path
+            return atomic_write_json(path, payload, separators=(",", ":"))
 
     def entry_paths(self, digest: str | None = None) -> list[Path]:
-        """All entry files, optionally restricted to one archive digest."""
+        """All entry files, optionally restricted to one key digest."""
         if not self.root.is_dir():
             return []
         pattern = f"{digest}.*.json" if digest else "*.json"
@@ -142,7 +105,7 @@ class ParseMineCache:
         """Explicitly drop entries; returns how many were removed.
 
         Args:
-            digest: drop only entries for this archive digest; None
+            digest: drop only entries for this key digest; None
                 drops every entry under the cache root.
         """
         removed = 0

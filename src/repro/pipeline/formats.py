@@ -1,15 +1,14 @@
-"""Per-application archive format descriptors for the fast archive path.
+"""Per-application archive format descriptors.
 
 An :class:`ArchiveFormat` bundles everything the pipeline needs to treat
 one application's 1999-style archive uniformly: how to render it from a
 curated corpus, how to split it into per-record chunks (cheaply, without
 parsing), how to parse one chunk, how to mine the parsed records, and
-how to serialize records for the content-addressed cache.
+how to serialize records and mined items into study-graph payloads.
 
-Version tags are part of every cache key: bump ``parser_version`` when
-parse output changes shape or semantics, ``miner_version`` when the
-narrowing changes, and stale entries become unreachable (content-
-addressed stores never serve a mixed-version entry).
+The version strings ride in those payloads (``parser_version`` on
+``parsed.<app>``, ``miner_version`` on ``mined.<app>``): bump them when
+parse output or the narrowing changes.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ class ArchiveFormat:
 
     Attributes:
         application: the application this format belongs to.
-        parser_version: cache tag component; bump on parse changes.
-        miner_version: cache tag component; bump on mining changes.
+        parser_version: recorded in parsed payloads; bump on parse changes.
+        miner_version: recorded in mined payloads; bump on mining changes.
         render: ``(corpus, scale) -> archive text``.
         split: ``archive text -> per-record chunks`` (cheap boundary
             scan; no record parsing).
@@ -50,15 +49,16 @@ class ArchiveFormat:
         mine: ``(records, index) -> MiningResult``; ``index`` is a
             positional :class:`TextIndex` or None (only the MySQL miner
             uses one).
-        record_to_dict / record_from_dict: JSON codec for cached parse
-            entries (the raw parsed records).
-        item_to_dict / item_from_dict: JSON codec for cached mine
-            entries.  Mined items are always :class:`~repro.bugdb.model.
-            BugReport` -- even for MySQL, whose *records* are mail
-            messages but whose miner folds threads into reports.
+        record_to_dict / record_from_dict: JSON codec for the parsed
+            records in ``parsed.<app>`` payloads.
+        item_to_dict / item_from_dict: JSON codec for the mined items in
+            ``mined.<app>`` payloads.  Mined items are always
+            :class:`~repro.bugdb.model.BugReport` -- even for MySQL,
+            whose *records* are mail messages but whose miner folds
+            threads into reports.
         index_text: when set, the text to index per record -- the
-            sharded parser then builds per-shard partial indexes as a
-            parse by-product and merges them for :attr:`mine`.
+            streamed parser can then append every range's records to a
+            segmented index as a parse by-product for :attr:`mine`.
         boundary_marker: the record-boundary marker :attr:`split` cuts
             on, as text -- lets :mod:`repro.pipeline.streamsplit` find
             the same boundaries as byte offsets in a file without
@@ -82,19 +82,6 @@ class ArchiveFormat:
     index_text: Callable[[Any], str] | None = None
     boundary_marker: str | None = None
     boundary_line_anchored: bool = False
-
-    @property
-    def parse_tag(self) -> str:
-        """Cache tag for parsed-archive entries."""
-        return f"parse.{self.application.value}.v{self.parser_version}"
-
-    @property
-    def mine_tag(self) -> str:
-        """Cache tag for mined-result entries."""
-        return (
-            f"mine.{self.application.value}"
-            f".p{self.parser_version}.m{self.miner_version}"
-        )
 
     def parse(self, text: str) -> list[Any]:
         """Serial reference parse: split then parse every chunk."""

@@ -1,12 +1,13 @@
-"""Record (de)serialization for the on-disk parse/mine cache.
+"""Record (de)serialization for study-graph payloads.
 
-The cache (:mod:`repro.pipeline.cache`) stores parsed archives and mined
-results as plain JSON so entries survive interpreter upgrades and are
-inspectable with standard tools.  :class:`~repro.bugdb.model.BugReport`
+The ``parsed.<app>`` and ``mined.<app>`` nodes carry parsed archives and
+mined results as plain JSON, so memo entries (:mod:`repro.pipeline.
+cache`) survive interpreter upgrades and are inspectable with standard
+tools.  :class:`~repro.bugdb.model.BugReport`
 already has a JSON codec in :mod:`repro.bugdb.jsonstore`; this module
 adds the :class:`~repro.bugdb.mbox.MailMessage` codec and the
 :class:`~repro.mining.pipeline.NarrowingTrace` row form, and re-exports
-the report codec so cache payload code has one import site.
+the report codec so payload code has one import site.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def trace_from_rows(rows: list[list[Any]]) -> NarrowingTrace:
 
 
 def result_to_payload(result: MiningResult, record_to_dict: Any) -> dict[str, Any]:
-    """Serialize a mining result (items plus trace) for the cache."""
+    """Serialize a mining result (items plus trace) for a node payload."""
     return {
         "items": [record_to_dict(item) for item in result.items],
         "trace": trace_to_rows(result.trace),

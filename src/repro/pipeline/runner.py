@@ -1,16 +1,18 @@
-"""The end-to-end fast archive path: render -> parse -> mine, cached.
+"""Mine an archive file through the streamed parse: parse -> mine.
 
-:func:`mine_archive_text` is the pipeline's core: given raw archive
-text, it returns the mined study set exactly as the serial
-``parse_archive`` + ``mine_*`` path would, but parses in parallel
-shards, prefilters keywords through the inverted index built as a parse
-by-product, and short-circuits through the content-addressed cache when
-the same bytes were mined before.  :func:`mine_application` is the
-render-first convenience used by the CLI and benchmarks.
+:func:`mine_archive_file` is the file-fed mining entry point behind
+``repro mine run --archive``: it streams the archive through
+:func:`~repro.pipeline.shardparse.parse_archive_streamed` (optionally
+building an on-disk segmented index as a parse by-product) and mines the
+records, recording both stages in a
+:class:`~repro.harness.telemetry.Telemetry`.  It keeps no cache: the
+study-graph memo is the repo's only one, and rendered archives mine
+through the ``mined.<app>`` node.
 
 Equivalence contract: for every application, any worker count, and any
-cache state, the returned :class:`~repro.mining.pipeline.MiningResult`
-(items and narrowing trace) is identical to the serial cold path.
+shard budget, the returned :class:`~repro.mining.pipeline.MiningResult`
+(items and narrowing trace) is identical to the serial oracle
+``fmt.mine(fmt.parse(text), None)``.
 """
 
 from __future__ import annotations
@@ -20,15 +22,10 @@ from pathlib import Path
 
 from repro import obs
 from repro.bugdb.enums import Application
-from repro.bugdb.segments import SegmentedTextIndex
-from repro.corpus.loader import full_study
-from repro.corpus.studyspec import StudyCorpus
 from repro.harness.telemetry import Telemetry
 from repro.mining.pipeline import MiningResult
-from repro.pipeline import records as _records
-from repro.pipeline.cache import ParseMineCache, archive_digest, archive_file_digest
-from repro.pipeline.formats import ArchiveFormat, format_for
-from repro.pipeline.shardparse import parse_archive_sharded, parse_archive_streamed
+from repro.pipeline.formats import format_for
+from repro.pipeline.shardparse import parse_archive_streamed
 from repro.pipeline.streamsplit import DEFAULT_MAX_SHARD_BYTES
 
 
@@ -39,34 +36,17 @@ class PipelineRun:
     Attributes:
         application: the mined application.
         result: the mined study set plus narrowing trace (identical to
-            the serial cold path, whatever ``workers`` or cache state).
-        digest: SHA-256 of the raw archive text.
-        mine_cache_hit: the mined result came straight from the cache.
-        parse_cache_hit: the parsed records came from the cache (only
-            meaningful when ``mine_cache_hit`` is False).
+            the serial oracle, whatever ``workers`` or shard budget).
         telemetry: timers/counters/gauges recorded during the run.
     """
 
     application: Application
     result: MiningResult
-    digest: str
-    mine_cache_hit: bool
-    parse_cache_hit: bool
     telemetry: Telemetry
 
     def summary_lines(self) -> list[str]:
         """Human-readable pipeline footer for the CLI."""
         lines = []
-        parse = self.telemetry.timer("parse.wall")
-        if parse.count:
-            lines.append(
-                f"parse: {parse.total * 1000:.1f} ms across "
-                f"{self.telemetry.gauge_value('parse.shards'):.0f} shard(s), "
-                f"{self.telemetry.gauge_value('parse.worker_processes'):.0f} "
-                f"worker process(es) "
-                f"({self.telemetry.gauge_value('parse.shard_utilization'):.0%} "
-                "shard utilization)"
-            )
         stream = self.telemetry.timer("stream.wall")
         if stream.count:
             mb = self.telemetry.counter("stream.bytes") / (1024 * 1024)
@@ -81,112 +61,10 @@ class PipelineRun:
         mine = self.telemetry.timer("mine.wall")
         if mine.count:
             lines.append(f"mine: {mine.total * 1000:.1f} ms")
-        if self.mine_cache_hit:
-            lines.append("cache: mine hit")
-        elif self.telemetry.counter("cache.lookups"):
-            parse_state = "hit" if self.parse_cache_hit else "miss"
-            lines.append(f"cache: mine miss, parse {parse_state} (entries stored)")
-        else:
-            lines.append("cache: disabled")
         total = self.telemetry.timer("pipeline.wall")
         if total.count:
             lines.append(f"pipeline total: {total.total * 1000:.1f} ms")
         return lines
-
-
-def mine_archive_text(
-    application: Application,
-    text: str,
-    *,
-    workers: int = 1,
-    cache: ParseMineCache | None = None,
-    telemetry: Telemetry | None = None,
-) -> PipelineRun:
-    """Mine raw archive text through the fast path.
-
-    Args:
-        application: which archive format/miner to use.
-        text: the raw archive.
-        workers: parse-shard worker processes (1 = serial reference).
-        cache: optional content-addressed store; hits skip parse+mine.
-        telemetry: optional sink (one is created when omitted).
-    """
-    fmt = format_for(application)
-    telemetry = telemetry if telemetry is not None else Telemetry()
-    digest = archive_digest(text)
-    mine_cache_hit = False
-    parse_cache_hit = False
-
-    with telemetry.timed("pipeline.wall"), obs.span(
-        f"pipeline:{application.value}", workers=workers
-    ) as pipeline_span:
-        if cache is not None:
-            telemetry.count("cache.lookups")
-            payload = cache.load(digest, fmt.mine_tag)
-            if payload is not None:
-                telemetry.count("cache.mine.hits")
-                pipeline_span.set(mine_cache_hit=True)
-                result = _records.result_from_payload(payload, fmt.item_from_dict)
-                return PipelineRun(
-                    application=application,
-                    result=result,
-                    digest=digest,
-                    mine_cache_hit=True,
-                    parse_cache_hit=False,
-                    telemetry=telemetry,
-                )
-            telemetry.count("cache.mine.misses")
-
-        records = None
-        index = None
-        if cache is not None:
-            payload = cache.load(digest, fmt.parse_tag)
-            if payload is not None:
-                telemetry.count("cache.parse.hits")
-                parse_cache_hit = True
-                pipeline_span.set(parse_cache_hit=True)
-                with telemetry.timed("parse.decode"):
-                    records = [
-                        fmt.record_from_dict(data)
-                        for data in payload.get("records", [])
-                    ]
-            else:
-                telemetry.count("cache.parse.misses")
-
-        if records is None:
-            parsed = parse_archive_sharded(
-                fmt, text, workers=workers, telemetry=telemetry
-            )
-            records, index = parsed.records, parsed.index
-            if cache is not None:
-                with telemetry.timed("cache.store.parse"):
-                    cache.store(
-                        digest,
-                        fmt.parse_tag,
-                        {"records": [fmt.record_to_dict(r) for r in records]},
-                    )
-
-        with telemetry.timed("mine.wall"), obs.span(
-            f"mine:{application.value}", records=len(records)
-        ):
-            result = fmt.mine(records, index)
-
-        if cache is not None:
-            with telemetry.timed("cache.store.mine"):
-                cache.store(
-                    digest,
-                    fmt.mine_tag,
-                    _records.result_to_payload(result, fmt.item_to_dict),
-                )
-
-    return PipelineRun(
-        application=application,
-        result=result,
-        digest=digest,
-        mine_cache_hit=mine_cache_hit,
-        parse_cache_hit=parse_cache_hit,
-        telemetry=telemetry,
-    )
 
 
 def mine_archive_file(
@@ -195,7 +73,6 @@ def mine_archive_file(
     *,
     max_shard_bytes: int = DEFAULT_MAX_SHARD_BYTES,
     workers: int = 1,
-    cache: ParseMineCache | None = None,
     telemetry: Telemetry | None = None,
     index_dir: str | Path | None = None,
 ) -> PipelineRun:
@@ -206,138 +83,31 @@ def mine_archive_file(
     bounded by the shard budget), and with ``index_dir`` the parse
     appends write-ahead segments to an LSM-style
     :class:`~repro.bugdb.segments.SegmentedTextIndex` that the miner
-    then queries in place of the monolithic in-memory index.  Mining
-    itself still holds the parsed records; for parse+index-only
-    workloads at extreme scale, call
+    then queries for its keyword prefilter.  Mining itself still holds
+    the parsed records; for parse+index-only workloads at extreme
+    scale, call
     :func:`~repro.pipeline.shardparse.parse_archive_streamed` directly.
-
-    The mined result is identical to :func:`mine_archive_text` on the
-    file's contents, and the two share cache entries (same digest).
-    When ``index_dir`` names an index with no documents yet, cache
-    *reads* are bypassed so the parse that builds the segmented index
-    always runs — otherwise a warm cache would silently skip the
-    requested on-disk artifact.  An already-populated index is left
-    as-is and cache hits short-circuit as usual.
+    Formats without ``index_text`` ignore ``index_dir``.
     """
     fmt = format_for(application)
     telemetry = telemetry if telemetry is not None else Telemetry()
-    digest = archive_file_digest(path)
-    parse_cache_hit = False
-
     use_index = index_dir is not None and fmt.index_text is not None
-    need_index = (
-        use_index and SegmentedTextIndex(index_dir).document_count == 0
-    )
-    read_cache = None if need_index else cache
 
     with telemetry.timed("pipeline.wall"), obs.span(
         f"pipeline:{application.value}", workers=workers, streaming=True
-    ) as pipeline_span:
-        if cache is not None:
-            telemetry.count("cache.lookups")
-        if read_cache is not None:
-            payload = read_cache.load(digest, fmt.mine_tag)
-            if payload is not None:
-                telemetry.count("cache.mine.hits")
-                pipeline_span.set(mine_cache_hit=True)
-                result = _records.result_from_payload(payload, fmt.item_from_dict)
-                return PipelineRun(
-                    application=application,
-                    result=result,
-                    digest=digest,
-                    mine_cache_hit=True,
-                    parse_cache_hit=False,
-                    telemetry=telemetry,
-                )
-            telemetry.count("cache.mine.misses")
-
-        records = None
-        index = None
-        if read_cache is not None:
-            payload = read_cache.load(digest, fmt.parse_tag)
-            if payload is not None:
-                telemetry.count("cache.parse.hits")
-                parse_cache_hit = True
-                pipeline_span.set(parse_cache_hit=True)
-                with telemetry.timed("parse.decode"):
-                    records = [
-                        fmt.record_from_dict(data)
-                        for data in payload.get("records", [])
-                    ]
-            else:
-                telemetry.count("cache.parse.misses")
-
-        if records is None:
-            parsed = parse_archive_streamed(
-                fmt,
-                path,
-                max_shard_bytes=max_shard_bytes,
-                workers=workers,
-                telemetry=telemetry,
-                index_dir=index_dir if use_index else None,
-                keep_records=True,
-            )
-            records, index = parsed.records, parsed.index
-            if cache is not None:
-                with telemetry.timed("cache.store.parse"):
-                    cache.store(
-                        digest,
-                        fmt.parse_tag,
-                        {"records": [fmt.record_to_dict(r) for r in records]},
-                    )
-
+    ):
+        parsed = parse_archive_streamed(
+            fmt,
+            path,
+            max_shard_bytes=max_shard_bytes,
+            workers=workers,
+            telemetry=telemetry,
+            index_dir=index_dir if use_index else None,
+            keep_records=True,
+        )
         with telemetry.timed("mine.wall"), obs.span(
-            f"mine:{application.value}", records=len(records)
+            f"mine:{application.value}", records=parsed.record_count
         ):
-            result = fmt.mine(records, index)
+            result = fmt.mine(parsed.records, parsed.index)
 
-        if cache is not None:
-            with telemetry.timed("cache.store.mine"):
-                cache.store(
-                    digest,
-                    fmt.mine_tag,
-                    _records.result_to_payload(result, fmt.item_to_dict),
-                )
-
-    return PipelineRun(
-        application=application,
-        result=result,
-        digest=digest,
-        mine_cache_hit=False,
-        parse_cache_hit=parse_cache_hit,
-        telemetry=telemetry,
-    )
-
-
-def mine_application(
-    application: Application,
-    *,
-    scale: int | None = None,
-    workers: int = 1,
-    cache_dir: str | Path | None = None,
-    use_cache: bool = True,
-    telemetry: Telemetry | None = None,
-    corpus: StudyCorpus | None = None,
-) -> PipelineRun:
-    """Render an application's archive and mine it through the fast path.
-
-    Args:
-        application: apache | gnome | mysql.
-        scale: raw archive size (None = the paper's full scale).
-        workers: parse-shard worker processes.
-        cache_dir: content-addressed cache directory (None = no cache).
-        use_cache: the ``--no-cache`` escape hatch; False ignores
-            ``cache_dir`` entirely (no reads, no writes).
-        telemetry: optional sink.
-        corpus: curated corpus override (defaults to the full study's).
-    """
-    fmt = format_for(application)
-    telemetry = telemetry if telemetry is not None else Telemetry()
-    if corpus is None:
-        corpus = full_study().corpus(application)
-    with telemetry.timed("render.wall"):
-        text = fmt.render(corpus, scale)
-    cache = ParseMineCache(cache_dir) if (cache_dir is not None and use_cache) else None
-    return mine_archive_text(
-        application, text, workers=workers, cache=cache, telemetry=telemetry
-    )
+    return PipelineRun(application=application, result=result, telemetry=telemetry)

@@ -1,19 +1,19 @@
-"""Parallel sharded archive parsing on the repro.harness worker pool.
+"""Streamed archive parsing: record-aligned byte-ranges on the worker pool.
 
-The splitters in :mod:`repro.bugdb` cut an archive into per-record
-chunks with one cheap boundary scan; this module shards those chunks
-contiguously and parses the shards on the fork-based
-:class:`~repro.harness.pool.WorkerPool`.  Results are reassembled in
-submission order (keyed by work-unit content hash), so the record list
-is bit-identical to the serial ``parse_archive`` path for any worker
-count -- sharding can reorder *completion*, never *output*.
+The archive path's one parse fast path.  An archive **file** is cut into
+record-aligned byte-ranges (:mod:`repro.pipeline.streamsplit`); each
+range is read, split, and parsed on its own -- inline, or on the
+fork-based :class:`~repro.harness.pool.WorkerPool` with results
+reassembled in submission order -- so the record stream is
+bit-identical to the serial oracle :meth:`~repro.pipeline.formats.
+ArchiveFormat.parse` for any worker count and shard budget, and peak
+memory tracks the shard budget rather than the archive.
 
 When the format defines :attr:`~repro.pipeline.formats.ArchiveFormat.
-index_text`, every shard also builds a partial inverted index over its
-records (keyed by global archive position) as a parse by-product; the
-partials merge into one :class:`~repro.bugdb.textindex.TextIndex`
-identical to indexing the archive serially.  This is what makes the
-index-backed keyword prefilter effectively free on the parallel path.
+index_text`, every range can also stage a write-ahead segment of an
+LSM-style :class:`~repro.bugdb.segments.SegmentedTextIndex` as a parse
+by-product, which the MySQL miner then queries for its keyword
+prefilter.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ import dataclasses
 import os
 import time
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 from repro import obs
 from repro.bugdb.segments import SegmentedTextIndex, segment_from_index
 from repro.bugdb.textindex import TextIndex
 from repro.harness.pool import UnitExecution, WorkerPool
-from repro.harness.shard import assemble_results, shard_count_for, shard_units
+from repro.harness.shard import assemble_results
 from repro.harness.telemetry import Telemetry
 from repro.harness.workunit import WorkUnit
 from repro.pipeline.formats import ArchiveFormat
@@ -39,180 +39,17 @@ from repro.pipeline.streamsplit import (
     read_range,
 )
 
-#: Work-unit kind for parse shards (appears in unit keys and telemetry).
-KIND_PARSE_SHARD = "parse-shard"
-
 #: Work-unit kind for streaming byte-range shards.
 KIND_STREAM_SHARD = "stream-shard"
-
-
-@dataclasses.dataclass
-class ParsedArchive:
-    """The outcome of parsing one archive.
-
-    Attributes:
-        records: parsed records in archive order (identical to the
-            serial ``parse_archive`` output for any worker count).
-        index: merged positional inverted index over the records, when
-            the format defines ``index_text``; None otherwise.
-        shards: number of shards the parse ran in (1 on the serial path).
-        workers: worker processes requested.
-        worker_pids: distinct process ids that executed shards.
-        wall_seconds: end-to-end parse wall time.
-    """
-
-    records: list[Any]
-    index: TextIndex | None
-    shards: int
-    workers: int
-    worker_pids: tuple[int, ...]
-    wall_seconds: float
-
-    @property
-    def shard_utilization(self) -> float:
-        """Fraction of usable workers that actually executed shards."""
-        usable = max(1, min(self.workers, self.shards))
-        return len(self.worker_pids) / usable
-
-
-def _build_partial_index(
-    fmt: ArchiveFormat, records: list[Any], start: int
-) -> TextIndex | None:
-    if fmt.index_text is None:
-        return None
-    index: TextIndex = TextIndex()
-    for offset, record in enumerate(records):
-        index.add(start + offset, fmt.index_text(record))
-    return index
-
-
-def _parse_shard_runner(unit: WorkUnit, context: Any) -> dict[str, Any]:
-    """Parse one shard of chunks (worker side).
-
-    The chunk shards travel to workers through fork inheritance (the
-    pool's context), not pickling, so the archive text is never copied
-    through the result queue; only parsed records come back.
-    """
-    fmt, shards = context
-    params = unit.params_dict()
-    chunks = shards[params["shard"]]
-    records = [fmt.parse_record(chunk) for chunk in chunks]
-    return {
-        "records": records,
-        "index": _build_partial_index(fmt, records, params["start"]),
-    }
-
-
-def parse_archive_sharded(
-    fmt: ArchiveFormat,
-    text: str,
-    *,
-    workers: int = 1,
-    telemetry: Telemetry | None = None,
-) -> ParsedArchive:
-    """Parse an archive, in parallel shards when ``workers > 1``.
-
-    Args:
-        fmt: the archive's format descriptor.
-        text: raw archive text.
-        workers: worker processes; 1 (or a platform without fork)
-            selects the serial reference path.
-        telemetry: optional sink for parse timers/counters/gauges.
-
-    The record list (and merged index) is identical to the serial path
-    for any worker count.
-    """
-    telemetry = telemetry if telemetry is not None else Telemetry()
-    with obs.span(
-        f"parse:{fmt.application.value}", workers=max(1, workers)
-    ) as parse_span:
-        started = time.monotonic()
-        chunks = fmt.split(text)
-        telemetry.observe("parse.split", time.monotonic() - started)
-        telemetry.count("parse.chunks", len(chunks))
-        parse_span.set(chunks=len(chunks))
-
-        pool = WorkerPool(max(1, workers))
-        if not pool.parallel or len(chunks) < 2:
-            records = [fmt.parse_record(chunk) for chunk in chunks]
-            index = _build_partial_index(fmt, records, 0)
-            wall = time.monotonic() - started
-            telemetry.observe("parse.wall", wall)
-            telemetry.gauge("parse.shards", 1)
-            telemetry.gauge("parse.worker_processes", 1)
-            telemetry.gauge("parse.shard_utilization", 1.0)
-            parse_span.set(shards=1)
-            return ParsedArchive(
-                records=records,
-                index=index,
-                shards=1,
-                workers=pool.workers,
-                worker_pids=(os.getpid(),),
-                wall_seconds=wall,
-            )
-
-        shards = shard_units(chunks, shard_count_for(len(chunks), pool.workers))
-        starts, offset = [], 0
-        for shard in shards:
-            starts.append(offset)
-            offset += len(shard)
-        units = [
-            WorkUnit.build(
-                KIND_PARSE_SHARD,
-                f"{fmt.application.value}:shard{position:05d}",
-                params={
-                    "shard": position,
-                    "start": starts[position],
-                    "chunks": len(shard),
-                },
-            )
-            for position, shard in enumerate(shards)
-        ]
-
-        executions: dict[str, UnitExecution] = {}
-
-        def on_unit(execution: UnitExecution) -> None:
-            executions[execution.key] = execution
-            telemetry.observe("parse.shard.wall", execution.wall_seconds)
-            telemetry.observe("parse.shard.queue", execution.queue_seconds)
-
-        pool.execute(units, _parse_shard_runner, (fmt, shards), on_unit=on_unit)
-        ordered = assemble_results(units, executions)
-
-        with obs.span("parse:merge", shards=len(shards)):
-            records = []
-            index = TextIndex() if fmt.index_text is not None else None
-            for execution in ordered:
-                records.extend(execution.result["records"])
-                if index is not None:
-                    index.merge(execution.result["index"])
-
-        pids = tuple(sorted({execution.worker_pid for execution in ordered}))
-        wall = time.monotonic() - started
-        telemetry.observe("parse.wall", wall)
-        telemetry.gauge("parse.shards", len(shards))
-        telemetry.gauge("parse.worker_processes", len(pids))
-        parse_span.set(shards=len(shards))
-        parsed = ParsedArchive(
-            records=records,
-            index=index,
-            shards=len(shards),
-            workers=pool.workers,
-            worker_pids=pids,
-            wall_seconds=wall,
-        )
-        telemetry.gauge("parse.shard_utilization", parsed.shard_utilization)
-        return parsed
 
 
 @dataclasses.dataclass
 class StreamedParse:
     """The outcome of streaming one archive file through the parser.
 
-    Unlike :class:`ParsedArchive`, records are **not retained** unless
-    asked for: the streaming path exists so that multi-GB archives parse
-    and index with memory bounded by ``max_shard_bytes``, independent of
-    corpus size.
+    Records are **not retained** unless asked for: the streaming path
+    exists so that multi-GB archives parse and index with memory bounded
+    by ``max_shard_bytes``, independent of corpus size.
 
     Attributes:
         record_count: records parsed across all byte-ranges.
@@ -256,46 +93,48 @@ class StreamedParse:
         return self.record_count / self.wall_seconds
 
 
-def _index_range_records(
-    fmt: ArchiveFormat, records: list[Any], index_root: Path, name: str
-) -> str | None:
-    """Stage one write-ahead segment for a range's records (local ids).
+def _parse_range(
+    fmt: ArchiveFormat,
+    path: Path,
+    byte_range: ByteRange,
+    index_root: Path | None,
+    wal_name: str | None,
+) -> tuple[list[Any], str | None]:
+    """Parse one byte-range; with ``index_root``, stage its index segment.
 
-    ``name`` must come from
-    :meth:`SegmentedTextIndex.reserve_segment_names` so a re-run against
-    an existing index never clobbers previously committed segments.
+    The segment indexes the range's records under local ids; ``wal_name``
+    must come from :meth:`SegmentedTextIndex.reserve_segment_names` so a
+    re-run against an existing index never clobbers previously committed
+    segments.  Returns the records and the staged segment name (None
+    when not indexing or the range holds no records).
     """
-    if not records:
-        return None
+    records = [fmt.parse_record(chunk) for chunk in fmt.split(read_range(path, byte_range))]
+    if index_root is None or not records:
+        return records, None
     partial: TextIndex[int] = TextIndex()
     for local, record in enumerate(records):
         partial.add(local, fmt.index_text(record))
-    segment_from_index(index_root, name, partial)
-    return name
+    segment_from_index(index_root, wal_name, partial)
+    return records, wal_name
 
 
-def _stream_shard_runner(unit: WorkUnit, context: Any) -> dict[str, Any]:
+def _stream_shard_runner(
+    unit: WorkUnit, context: Any
+) -> tuple[int, str | None, list[Any] | None]:
     """Parse one byte-range (worker side).
 
-    Workers read their own range straight from the file — the archive
+    Workers read their own range straight from the file -- the archive
     text never crosses the fork or the result queue.  When indexing,
-    the worker writes a staged write-ahead segment under local ids and
-    sends back only its name; the parent later assigns doc bases by
-    committing segments in range order.
+    the worker stages its write-ahead segment and sends back only its
+    name; the parent later assigns doc bases by committing segments in
+    range order.  Records travel back only when the caller wants them.
     """
     fmt, path, ranges, index_root, wal_names, keep_records = context
-    params = unit.params_dict()
-    position = params["range"]
-    byte_range = ranges[position]
-    records = [fmt.parse_record(chunk) for chunk in fmt.split(read_range(path, byte_range))]
-    segment = None
-    if index_root is not None:
-        segment = _index_range_records(fmt, records, index_root, wal_names[position])
-    return {
-        "count": len(records),
-        "segment": segment,
-        "records": records if keep_records else None,
-    }
+    position = unit.params_dict()["range"]
+    records, segment = _parse_range(
+        fmt, path, ranges[position], index_root, wal_names[position]
+    )
+    return len(records), segment, records if keep_records else None
 
 
 def parse_archive_streamed(
@@ -354,28 +193,23 @@ def parse_archive_streamed(
         # from the index's persistent id counter, so a second run against
         # the same index_dir appends new segments instead of overwriting
         # the earlier run's wal-*.seg files.
-        wal_names = index.reserve_segment_names(len(ranges)) if index is not None else []
-        segment_names: list[str] = []
-        record_count = 0
+        wal_names: list[str | None] = (
+            index.reserve_segment_names(len(ranges))
+            if index is not None
+            else [None] * len(ranges)
+        )
 
-        if not pool.parallel or len(ranges) < 2:
+        def parse_inline() -> Iterator[tuple[int, str | None, list[Any]]]:
+            # Lazy: each range reaches the consumer before the next is read.
             for position, byte_range in enumerate(ranges):
                 with telemetry.timed("stream.range.wall"):
-                    records = [
-                        fmt.parse_record(chunk)
-                        for chunk in fmt.split(read_range(path, byte_range))
-                    ]
-                    if index_root is not None:
-                        name = _index_range_records(
-                            fmt, records, index_root, wal_names[position]
-                        )
-                        if name is not None:
-                            segment_names.append(name)
-                record_count += len(records)
-                if consumer is not None:
-                    consumer(position, records)
-                if kept is not None:
-                    kept.extend(records)
+                    records, segment = _parse_range(
+                        fmt, path, byte_range, index_root, wal_names[position]
+                    )
+                yield len(records), segment, records
+
+        if not pool.parallel or len(ranges) < 2:
+            outcomes: Iterable[tuple[int, str | None, list[Any] | None]] = parse_inline()
             pids: tuple[int, ...] = (os.getpid(),)
         else:
             units = [
@@ -411,16 +245,19 @@ def parse_archive_streamed(
                 on_unit=on_unit,
             )
             ordered = assemble_results(units, executions)
-            for position, execution in enumerate(ordered):
-                result = execution.result
-                record_count += result["count"]
-                if result["segment"] is not None:
-                    segment_names.append(result["segment"])
-                if consumer is not None:
-                    consumer(position, result["records"] or [])
-                if kept is not None:
-                    kept.extend(result["records"] or [])
+            outcomes = [execution.result for execution in ordered]
             pids = tuple(sorted({execution.worker_pid for execution in ordered}))
+
+        segment_names: list[str] = []
+        record_count = 0
+        for position, (count, segment, records) in enumerate(outcomes):
+            record_count += count
+            if segment is not None:
+                segment_names.append(segment)
+            if consumer is not None:
+                consumer(position, records or [])
+            if kept is not None:
+                kept.extend(records or [])
 
         if index is not None and segment_names:
             with obs.span("stream:commit", segments=len(segment_names)):

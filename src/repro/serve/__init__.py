@@ -1,8 +1,8 @@
 """repro.serve: the persistent study service.
 
 Every ``repro`` CLI invocation before this package paid the same cold
-tax on every call: load the fault corpora, rebuild or re-verify the
-parse/mine cache, construct the text index and the default study, then
+tax on every call: load the fault corpora, re-open the study memo,
+construct the default study and its graph, then
 run one request's worth of work and throw it all away.  ``repro serve``
 keeps that warm state resident in a long-running daemon and serves
 ``study`` / ``mine`` / ``replay`` / ``trace-summary`` requests over a

@@ -150,6 +150,12 @@ class StudyServer:
                     self._spawn_connection(conn)
             except OSError:
                 pass
+            # close() alone leaves the accept thread blocked in accept();
+            # shutting the listener down wakes it with an error.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -8,9 +8,8 @@ result hot:
 * the curated :class:`~repro.corpus.loader.StudyData` (shared,
   immutable, lock-guarded first build);
 * the full study-graph registry;
-* one :class:`~repro.pipeline.cache.ParseMineCache` shared by every
-  request (node memos, parse/mine entries, and the ``TextIndex`` built
-  as a parse by-product all live there);
+* one :class:`~repro.pipeline.cache.ParseMineCache` -- the study
+  memo -- shared by every request;
 * an in-memory **response memo**: node payloads are content-addressed,
   and the study is immutable while serving, so an identical request is
   a dictionary hit -- this is what turns a warm daemon into thousands
@@ -205,8 +204,8 @@ class StudyService:
     """Warm study state behind a request router; see the module docstring.
 
     Args:
-        cache_dir: shared node-memo / parse-mine cache directory (None
-            keeps everything in the in-memory response memo only).
+        cache_dir: shared study memo directory (None keeps everything
+            in the in-memory response memo only).
         workers: harness-pool worker processes for cold node execution
             inside one request (1 runs inline; warm requests never fork).
         admission: the front door (a permissive default is built when

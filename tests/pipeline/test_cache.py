@@ -1,41 +1,34 @@
-"""Tests for the content-addressed parse/mine cache."""
+"""Tests for the content-addressed memo store."""
 
+import hashlib
 import json
 
-from repro.pipeline import CACHE_FORMAT_VERSION, ParseMineCache, archive_digest
+from repro.pipeline import CACHE_FORMAT_VERSION, ParseMineCache
 
 
-class TestArchiveDigest:
-    def test_stable(self):
-        assert archive_digest("abc") == archive_digest("abc")
-
-    def test_content_addressed(self):
-        assert archive_digest("abc") != archive_digest("abd")
-
-    def test_hex_sha256(self):
-        digest = archive_digest("")
-        assert len(digest) == 64
-        assert set(digest) <= set("0123456789abcdef")
+def key_digest(text: str) -> str:
+    """A SHA-256 hex key, shaped like the memo's node digests."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class TestRoundTrip:
     def test_store_then_load(self, tmp_path):
         cache = ParseMineCache(tmp_path)
-        digest = archive_digest("archive body")
-        cache.store(digest, "parse.mysql.v1", {"records": [1, 2, 3]})
-        assert cache.load(digest, "parse.mysql.v1") == {"records": [1, 2, 3]}
+        digest = key_digest("archive body")
+        cache.store(digest, "sgdata", {"records": [1, 2, 3]})
+        assert cache.load(digest, "sgdata") == {"records": [1, 2, 3]}
 
     def test_missing_entry_is_none(self, tmp_path):
         cache = ParseMineCache(tmp_path)
-        assert cache.load(archive_digest("x"), "parse.mysql.v1") is None
+        assert cache.load(key_digest("x"), "sgdata") is None
 
     def test_tags_keep_entries_apart(self, tmp_path):
         cache = ParseMineCache(tmp_path)
-        digest = archive_digest("x")
-        cache.store(digest, "parse.mysql.v1", {"stage": "parse"})
-        cache.store(digest, "mine.mysql.p1.m1", {"stage": "mine"})
-        assert cache.load(digest, "parse.mysql.v1") == {"stage": "parse"}
-        assert cache.load(digest, "mine.mysql.p1.m1") == {"stage": "mine"}
+        digest = key_digest("x")
+        cache.store(digest, "sgdata", {"stage": "data"})
+        cache.store(digest, "sgmeta", {"stage": "meta"})
+        assert cache.load(digest, "sgdata") == {"stage": "data"}
+        assert cache.load(digest, "sgmeta") == {"stage": "meta"}
 
     def test_constructing_cache_touches_nothing(self, tmp_path):
         ParseMineCache(tmp_path / "never-created")
@@ -43,7 +36,7 @@ class TestRoundTrip:
 
     def test_store_leaves_no_temp_files(self, tmp_path):
         cache = ParseMineCache(tmp_path)
-        cache.store(archive_digest("x"), "parse.mysql.v1", {})
+        cache.store(key_digest("x"), "sgdata", {})
         leftovers = [p for p in tmp_path.rglob("*.tmp")]
         assert leftovers == []
 
@@ -51,54 +44,54 @@ class TestRoundTrip:
 class TestCorruptEntries:
     def test_truncated_json_is_a_miss(self, tmp_path):
         cache = ParseMineCache(tmp_path)
-        digest = archive_digest("x")
-        path = cache.store(digest, "parse.mysql.v1", {"records": []})
+        digest = key_digest("x")
+        path = cache.store(digest, "sgdata", {"records": []})
         path.write_text(path.read_text()[:10], encoding="utf-8")
-        assert cache.load(digest, "parse.mysql.v1") is None
+        assert cache.load(digest, "sgdata") is None
 
     def test_version_mismatch_is_a_miss(self, tmp_path):
         cache = ParseMineCache(tmp_path)
-        digest = archive_digest("x")
-        path = cache.store(digest, "parse.mysql.v1", {"records": []})
+        digest = key_digest("x")
+        path = cache.store(digest, "sgdata", {"records": []})
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload["cache_format"] = CACHE_FORMAT_VERSION + 1
         path.write_text(json.dumps(payload), encoding="utf-8")
-        assert cache.load(digest, "parse.mysql.v1") is None
+        assert cache.load(digest, "sgdata") is None
 
     def test_non_dict_payload_is_a_miss(self, tmp_path):
         cache = ParseMineCache(tmp_path)
-        digest = archive_digest("x")
-        path = cache.store(digest, "parse.mysql.v1", {})
+        digest = key_digest("x")
+        path = cache.store(digest, "sgdata", {})
         path.write_text("[1, 2, 3]", encoding="utf-8")
-        assert cache.load(digest, "parse.mysql.v1") is None
+        assert cache.load(digest, "sgdata") is None
 
 
 class TestCounters:
     def test_hits_and_misses_accumulate(self, tmp_path):
         cache = ParseMineCache(tmp_path)
-        digest = archive_digest("x")
-        cache.load(digest, "parse.mysql.v1")
-        cache.store(digest, "parse.mysql.v1", {})
-        cache.load(digest, "parse.mysql.v1")
+        digest = key_digest("x")
+        cache.load(digest, "sgdata")
+        cache.store(digest, "sgdata", {})
+        cache.load(digest, "sgdata")
         assert cache.stats() == {"hits": 1, "misses": 1}
 
 
 class TestInvalidation:
     def test_invalidate_one_digest(self, tmp_path):
         cache = ParseMineCache(tmp_path)
-        keep, drop = archive_digest("keep"), archive_digest("drop")
-        cache.store(keep, "parse.mysql.v1", {})
-        cache.store(drop, "parse.mysql.v1", {})
-        cache.store(drop, "mine.mysql.p1.m1", {})
+        keep, drop = key_digest("keep"), key_digest("drop")
+        cache.store(keep, "sgdata", {})
+        cache.store(drop, "sgdata", {})
+        cache.store(drop, "sgmeta", {})
         assert cache.invalidate(drop) == 2
         assert cache.entry_count() == 1
-        assert cache.load(keep, "parse.mysql.v1") is not None
-        assert cache.load(drop, "parse.mysql.v1") is None
+        assert cache.load(keep, "sgdata") is not None
+        assert cache.load(drop, "sgdata") is None
 
     def test_invalidate_everything(self, tmp_path):
         cache = ParseMineCache(tmp_path)
         for body in ("a", "b", "c"):
-            cache.store(archive_digest(body), "parse.mysql.v1", {})
+            cache.store(key_digest(body), "sgdata", {})
         assert cache.invalidate() == 3
         assert cache.entry_count() == 0
 
@@ -107,8 +100,8 @@ class TestInvalidation:
 
     def test_entry_paths_filters_by_digest(self, tmp_path):
         cache = ParseMineCache(tmp_path)
-        digest = archive_digest("a")
-        cache.store(digest, "parse.mysql.v1", {})
-        cache.store(archive_digest("b"), "parse.mysql.v1", {})
+        digest = key_digest("a")
+        cache.store(digest, "sgdata", {})
+        cache.store(key_digest("b"), "sgdata", {})
         assert len(cache.entry_paths(digest)) == 1
         assert len(cache.entry_paths()) == 2

@@ -27,21 +27,6 @@ class TestRegistry:
         assert format_for(Application.GNOME).index_text is None
 
 
-class TestCacheTags:
-    def test_tags_embed_application_and_versions(self):
-        fmt = format_for(Application.MYSQL)
-        assert fmt.parse_tag == f"parse.mysql.v{fmt.parser_version}"
-        assert (
-            fmt.mine_tag
-            == f"mine.mysql.p{fmt.parser_version}.m{fmt.miner_version}"
-        )
-
-    def test_tags_are_distinct_across_applications_and_stages(self):
-        tags = [fmt.parse_tag for fmt in FORMATS.values()]
-        tags += [fmt.mine_tag for fmt in FORMATS.values()]
-        assert len(tags) == len(set(tags))
-
-
 class TestSerialReference:
     """``fmt.parse`` (split + per-chunk parse) is the legacy parser."""
 

@@ -1,28 +1,42 @@
-"""Tests for sharded parallel archive parsing."""
+"""Shard-level cases of the streamed parse: worker counts, torn final
+ranges, single-record archives, the range-built index, telemetry."""
+
+import os
 
 import pytest
 
+from repro.bugdb import gnats
 from repro.bugdb.enums import Application
-from repro.bugdb.textindex import TextIndex
 from repro.harness.telemetry import Telemetry
 from repro.mining.keywords import MYSQL_STUDY_KEYWORDS
-from repro.mining.mysql import message_search_text
-from repro.pipeline import format_for, parse_archive_sharded
+from repro.mining.mysql import build_message_index
+from repro.pipeline import format_for, mine_archive_file, parse_archive_streamed
+
+#: A shard budget small enough to cut every test archive into many ranges.
+SHARD_BYTES = 16 << 10
 
 
 @pytest.fixture(scope="module")
-def archives(study):
-    """Small rendered archives per application (shared across tests)."""
+def archives(study, tmp_path_factory):
+    """Small rendered archive files per application (shared across tests)."""
     scales = {
         Application.APACHE: 300,
         Application.GNOME: None,
         Application.MYSQL: 1500,
     }
+    root = tmp_path_factory.mktemp("shards")
     rendered = {}
     for application, scale in scales.items():
         fmt = format_for(application)
-        rendered[application] = fmt.render(study.corpus(application), scale)
+        path = root / f"{application.value}.archive"
+        path.write_text(fmt.render(study.corpus(application), scale), encoding="utf-8")
+        rendered[application] = path
     return rendered
+
+
+def write_archive(path, records):
+    path.write_text(gnats.render_archive(records), encoding="utf-8")
+    return path
 
 
 class TestEquivalence:
@@ -32,78 +46,87 @@ class TestEquivalence:
         self, archives, application, workers
     ):
         fmt = format_for(application)
-        text = archives[application]
-        serial = fmt.parse(text)
-        parsed = parse_archive_sharded(fmt, text, workers=workers)
+        path = archives[application]
+        serial = fmt.parse(path.read_text(encoding="utf-8"))
+        parsed = parse_archive_streamed(
+            fmt, path, max_shard_bytes=SHARD_BYTES, workers=workers, keep_records=True
+        )
+        assert parsed.shards > 1
         assert parsed.records == serial
 
-    def test_torn_final_shard(self, archives):
-        """Chunk counts that do not divide evenly still merge in order."""
-        from repro.bugdb import gnats
-
+    def test_torn_final_shard(self, archives, tmp_path):
+        """Ranges that do not divide evenly still merge in order."""
         fmt = format_for(Application.APACHE)
-        # 23 records over 7 workers: shard sizes differ and the final
-        # shard is smaller than the rest.
-        serial = fmt.parse(archives[Application.APACHE])[:23]
-        text = gnats.render_archive(serial)
-        parsed = parse_archive_sharded(fmt, text, workers=7)
+        serial = fmt.parse(archives[Application.APACHE].read_text(encoding="utf-8"))[:23]
+        path = write_archive(tmp_path / "torn.gnats", serial)
+        # A budget that leaves the final range smaller than the rest.
+        budget = path.stat().st_size // 7
+        parsed = parse_archive_streamed(
+            fmt, path, max_shard_bytes=budget, workers=7, keep_records=True
+        )
+        sizes = [byte_range.size for byte_range in parsed.ranges]
+        assert len(sizes) > 2 and sizes[-1] < max(sizes)
         assert parsed.records == serial
 
-    def test_single_record_archive_takes_serial_path(self, archives):
-        from repro.bugdb import gnats
-
+    def test_single_record_archive_takes_serial_path(self, archives, tmp_path):
         fmt = format_for(Application.APACHE)
-        text = gnats.render_archive(fmt.parse(archives[Application.APACHE])[:1])
-        parsed = parse_archive_sharded(fmt, text, workers=4)
+        records = fmt.parse(archives[Application.APACHE].read_text(encoding="utf-8"))[:1]
+        path = write_archive(tmp_path / "one.gnats", records)
+        parsed = parse_archive_streamed(fmt, path, workers=4, keep_records=True)
         assert parsed.shards == 1
-        assert parsed.records == fmt.parse(text)
+        assert parsed.worker_pids == (os.getpid(),)
+        assert parsed.records == fmt.parse(path.read_text(encoding="utf-8"))
 
 
 class TestPartialIndex:
-    def test_merged_index_matches_serial_index(self, archives):
+    def test_merged_index_matches_serial_index(self, archives, tmp_path):
         fmt = format_for(Application.MYSQL)
-        text = archives[Application.MYSQL]
-        parsed = parse_archive_sharded(fmt, text, workers=4)
+        path = archives[Application.MYSQL]
+        parsed = parse_archive_streamed(
+            fmt, path, max_shard_bytes=SHARD_BYTES, workers=4, index_dir=tmp_path / "idx"
+        )
         assert parsed.index is not None
-
-        serial_index = TextIndex()
-        for position, message in enumerate(parsed.records):
-            serial_index.add(position, message_search_text(message))
+        serial_index = build_message_index(fmt.parse(path.read_text(encoding="utf-8")))
         assert parsed.index.search_any(MYSQL_STUDY_KEYWORDS) == (
             serial_index.search_any(MYSQL_STUDY_KEYWORDS)
         )
 
-    def test_formats_without_index_text_get_no_index(self, archives):
-        fmt = format_for(Application.APACHE)
-        parsed = parse_archive_sharded(fmt, archives[Application.APACHE], workers=4)
-        assert parsed.index is None
+    def test_formats_without_index_text_get_no_index(self, archives, tmp_path):
+        mine_archive_file(
+            Application.APACHE, archives[Application.APACHE], index_dir=tmp_path / "idx"
+        )
+        assert not (tmp_path / "idx").exists()
 
 
 class TestTelemetryAndShape:
     def test_parallel_run_records_telemetry(self, archives):
         telemetry = Telemetry()
         fmt = format_for(Application.MYSQL)
-        parsed = parse_archive_sharded(
-            fmt, archives[Application.MYSQL], workers=4, telemetry=telemetry
+        parsed = parse_archive_streamed(
+            fmt, archives[Application.MYSQL], max_shard_bytes=SHARD_BYTES,
+            workers=4, telemetry=telemetry,
         )
-        assert telemetry.counter("parse.chunks") == len(parsed.records)
-        assert telemetry.timer("parse.wall").count == 1
-        assert telemetry.timer("parse.shard.wall").count == parsed.shards
-        assert telemetry.gauge_value("parse.shards") == parsed.shards
-        assert 0.0 < telemetry.gauge_value("parse.shard_utilization") <= 1.0
+        assert telemetry.counter("stream.records") == parsed.record_count
+        assert telemetry.timer("stream.wall").count == 1
+        assert telemetry.timer("stream.range.wall").count == parsed.shards
+        assert telemetry.timer("stream.range.queue").count == parsed.shards
+        assert telemetry.counter("stream.ranges") == parsed.shards
+        assert telemetry.gauge_value("stream.worker_processes") == len(parsed.worker_pids)
 
     def test_serial_run_reports_one_shard(self, archives):
         telemetry = Telemetry()
         fmt = format_for(Application.APACHE)
-        parsed = parse_archive_sharded(
+        parsed = parse_archive_streamed(
             fmt, archives[Application.APACHE], workers=1, telemetry=telemetry
         )
         assert parsed.shards == 1
-        assert parsed.worker_pids
-        assert parsed.shard_utilization == 1.0
-        assert telemetry.gauge_value("parse.shards") == 1
+        assert parsed.worker_pids == (os.getpid(),)
+        assert telemetry.timer("stream.range.wall").count == 1
+        assert telemetry.gauge_value("stream.worker_processes") == 1
 
     def test_wall_time_is_recorded(self, archives):
         fmt = format_for(Application.GNOME)
-        parsed = parse_archive_sharded(fmt, archives[Application.GNOME], workers=2)
+        parsed = parse_archive_streamed(
+            fmt, archives[Application.GNOME], max_shard_bytes=SHARD_BYTES, workers=2
+        )
         assert parsed.wall_seconds > 0

@@ -6,14 +6,8 @@ from repro.bugdb.enums import Application
 from repro.bugdb.segments import SegmentedTextIndex, segmented_equal_to_monolithic
 from repro.harness.telemetry import Telemetry
 from repro.mining.keywords import MYSQL_STUDY_KEYWORDS
-from repro.pipeline import (
-    format_for,
-    mine_application,
-    parse_archive_sharded,
-    parse_archive_streamed,
-)
-from repro.pipeline.cache import ParseMineCache, archive_digest, archive_file_digest
-from repro.pipeline.runner import mine_archive_file
+from repro.mining.mysql import build_message_index
+from repro.pipeline import format_for, mine_archive_file, parse_archive_streamed
 
 SCALES = {
     Application.APACHE: 400,
@@ -108,7 +102,7 @@ class TestStreamedIndex:
         )
         assert streamed.index is not None
         assert streamed.index.document_count == streamed.record_count
-        monolithic = parse_archive_sharded(fmt, text).index
+        monolithic = build_message_index(fmt.parse(text))
         assert segmented_equal_to_monolithic(
             streamed.index, monolithic, probes=MYSQL_STUDY_KEYWORDS
         )
@@ -124,7 +118,7 @@ class TestStreamedIndex:
         )
         reopened = SegmentedTextIndex(tmp_path / "idx")
         assert reopened.document_count == streamed.record_count
-        monolithic = parse_archive_sharded(fmt, text).index
+        monolithic = build_message_index(fmt.parse(text))
         assert reopened.search_any(MYSQL_STUDY_KEYWORDS) == monolithic.search_any(
             MYSQL_STUDY_KEYWORDS
         )
@@ -144,7 +138,7 @@ class TestStreamedIndex:
         assert len(names) == len(set(names))
         assert second.index.document_count == 2 * first.record_count
         # Both passes of the archive answer queries under their own bases.
-        monolithic = parse_archive_sharded(fmt, text).index
+        monolithic = build_message_index(fmt.parse(text))
         expected = monolithic.search_any(MYSQL_STUDY_KEYWORDS)
         shifted = {doc + first.record_count for doc in expected}
         assert second.index.search_any(MYSQL_STUDY_KEYWORDS) == expected | shifted
@@ -158,69 +152,27 @@ class TestStreamedIndex:
             parse_archive_streamed(fmt, path, index_dir=tmp_path / "idx")
 
 
-class TestMineArchiveFile:
-    def test_matches_in_memory_pipeline(self, study, archive_files):
-        path, _ = archive_files[Application.MYSQL]
-        streamed = mine_archive_file(Application.MYSQL, path)
-        rendered = mine_application(
-            Application.MYSQL,
-            scale=SCALES[Application.MYSQL],
-            corpus=study.corpus(Application.MYSQL),
-        )
-        assert streamed.result.items == rendered.result.items
-        assert streamed.result.trace.as_rows() == rendered.result.trace.as_rows()
+def serial_mined(text):
+    """The oracle: serial parse, then mining by linear scan."""
+    fmt = format_for(Application.MYSQL)
+    return fmt.mine(fmt.parse(text), None)
 
-    def test_segment_index_feeds_the_miner(self, tmp_path, study, archive_files):
-        path, _ = archive_files[Application.MYSQL]
+
+class TestMineArchiveFile:
+    def test_matches_in_memory_pipeline(self, archive_files):
+        path, text = archive_files[Application.MYSQL]
+        streamed = mine_archive_file(Application.MYSQL, path)
+        serial = serial_mined(text)
+        assert streamed.result.items == serial.items
+        assert streamed.result.trace.as_rows() == serial.trace.as_rows()
+
+    def test_segment_index_feeds_the_miner(self, tmp_path, archive_files):
+        path, text = archive_files[Application.MYSQL]
         streamed = mine_archive_file(
             Application.MYSQL, path, index_dir=tmp_path / "idx"
         )
-        rendered = mine_application(
-            Application.MYSQL,
-            scale=SCALES[Application.MYSQL],
-            corpus=study.corpus(Application.MYSQL),
-        )
-        assert streamed.result.items == rendered.result.items
+        assert streamed.result.items == serial_mined(text).items
         assert (tmp_path / "idx" / "manifest.json").exists()
-
-    def test_file_digest_equals_text_digest(self, archive_files):
-        path, text = archive_files[Application.MYSQL]
-        assert archive_file_digest(path) == archive_digest(text)
-
-    def test_shares_cache_with_text_pipeline(self, tmp_path, archive_files):
-        path, text = archive_files[Application.MYSQL]
-        cache = ParseMineCache(tmp_path / "cache")
-        cold = mine_archive_file(Application.MYSQL, path, cache=cache)
-        assert not cold.mine_cache_hit
-        warm = mine_archive_file(Application.MYSQL, path, cache=cache)
-        assert warm.mine_cache_hit
-        assert warm.result.items == cold.result.items
-        from repro.pipeline import mine_archive_text
-
-        text_run = mine_archive_text(Application.MYSQL, text, cache=cache)
-        assert text_run.mine_cache_hit
-
-    def test_warm_cache_still_builds_requested_index(self, tmp_path, archive_files):
-        # A mine-cache hit must not skip building a missing segmented
-        # index: cache reads are bypassed until the artifact exists.
-        path, _ = archive_files[Application.MYSQL]
-        cache = ParseMineCache(tmp_path / "cache")
-        cold = mine_archive_file(Application.MYSQL, path, cache=cache)
-        index_dir = tmp_path / "idx"
-        warm = mine_archive_file(
-            Application.MYSQL, path, cache=cache, index_dir=index_dir
-        )
-        assert not warm.mine_cache_hit
-        assert (index_dir / "manifest.json").exists()
-        built = SegmentedTextIndex(index_dir)
-        assert built.document_count > 0
-        assert warm.result.items == cold.result.items
-        # Once the index exists, cache hits short-circuit again.
-        third = mine_archive_file(
-            Application.MYSQL, path, cache=cache, index_dir=index_dir
-        )
-        assert third.mine_cache_hit
-        assert SegmentedTextIndex(index_dir).document_count == built.document_count
 
     def test_summary_mentions_streaming(self, archive_files):
         path, _ = archive_files[Application.MYSQL]

@@ -1,19 +1,22 @@
-"""Property-style checks for the fast archive path.
+"""Property-style checks for the streamed archive path.
 
-The pipeline's whole claim is an equivalence: splitting, sharding, and
-worker count must never change what gets parsed or mined.  These tests
-sweep worker counts and archive sizes (including sizes that leave torn,
-odd-sized final shards) across all three formats and compare against
-the serial reference.
+The pipeline's whole claim is an equivalence: splitting, sharding into
+byte-ranges, and worker count must never change what gets parsed or
+mined.  These tests sweep worker counts and archive sizes (including
+sizes that leave torn, odd-sized final ranges) across all three formats
+and compare against the serial oracle ``fmt.parse``.
 """
 
 import pytest
 
 from repro.bugdb import debbugs, gnats, mbox
 from repro.bugdb.enums import Application
-from repro.pipeline import format_for, mine_archive_text, parse_archive_sharded
+from repro.pipeline import format_for, mine_archive_file, parse_archive_streamed
 
-WORKER_COUNTS = (1, 2, 7)
+WORKER_COUNTS = (1, 2, 3, 7)
+
+#: Byte budget per range: one to a few records, so ranges tear unevenly.
+SHARD_BYTES = 2048
 
 _RENDERERS = {
     Application.APACHE: gnats.render_archive,
@@ -43,14 +46,20 @@ class TestShardedParseEqualsSerial:
     # Sizes chosen to exercise: fewer records than shards, one-record
     # shards, and torn final shards (sizes not divisible by shard count).
     @pytest.mark.parametrize("size", [1, 2, 7, 23, 61])
-    def test_subarchive_equivalence(self, base_records, application, workers, size):
+    def test_subarchive_equivalence(
+        self, base_records, tmp_path, application, workers, size
+    ):
         fmt = format_for(application)
         records = base_records[application][:size]
         assert len(records) == size
         text = _RENDERERS[application](records)
         serial = fmt.parse(text)
         assert serial == records
-        parsed = parse_archive_sharded(fmt, text, workers=workers)
+        path = tmp_path / "archive"
+        path.write_text(text, encoding="utf-8")
+        parsed = parse_archive_streamed(
+            fmt, path, max_shard_bytes=SHARD_BYTES, workers=workers, keep_records=True
+        )
         assert parsed.records == serial
 
     @pytest.mark.parametrize("application", list(Application))
@@ -68,7 +77,7 @@ class TestShardedParseEqualsSerial:
 class TestMiningEqualsSerial:
     @pytest.mark.parametrize("application", list(Application))
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_full_pipeline_equivalence(self, study, application, workers):
+    def test_full_pipeline_equivalence(self, study, tmp_path, application, workers):
         fmt = format_for(application)
         scale = {
             Application.APACHE: 300,
@@ -77,6 +86,8 @@ class TestMiningEqualsSerial:
         }[application]
         text = fmt.render(study.corpus(application), scale)
         serial = fmt.mine(fmt.parse(text), None)
-        run = mine_archive_text(application, text, workers=workers)
+        path = tmp_path / "archive"
+        path.write_text(text, encoding="utf-8")
+        run = mine_archive_file(application, path, workers=workers, max_shard_bytes=64 << 10)
         assert run.result.items == serial.items
         assert run.result.trace.as_rows() == serial.trace.as_rows()

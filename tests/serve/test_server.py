@@ -9,6 +9,7 @@ exceed that.
 import shutil
 import tempfile
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -74,6 +75,23 @@ class TestLifecycle:
         server.start()
         server.shutdown()
         server.shutdown()
+
+    def test_shutdown_wakes_the_accept_thread(self, sock_dir):
+        def accept_threads():
+            return {
+                thread for thread in threading.enumerate()
+                if thread.name == "serve-accept" and thread.is_alive()
+            }
+
+        earlier = accept_threads()
+        server = StudyServer(StudyService(), sock_dir / "s.sock")
+        server.start()
+        with ServeClient(server.socket_path) as client:
+            assert client.request("ping").ok
+        started = time.perf_counter()
+        server.shutdown()
+        assert time.perf_counter() - started < 0.1
+        assert accept_threads() <= earlier
 
     def test_stale_socket_is_replaced(self, sock_dir):
         path = sock_dir / "s.sock"

@@ -57,6 +57,30 @@ class TestMineCommand:
         assert "300" in out
         assert "50" in out
 
+    def test_mine_run_fronts_the_memo(self, capsys, tmp_path):
+        def narrowing_table(out):
+            lines = out.splitlines()
+            start = next(i for i, line in enumerate(lines) if line.startswith("stage "))
+            end = next(
+                i for i in range(start, len(lines))
+                if not lines[i] or lines[i].startswith("final unique bugs")
+            )
+            return lines[start:end]
+
+        assert main(["mine", "apache", "--scale", "300"]) == 0
+        reference = narrowing_table(capsys.readouterr().out)
+        run = ["mine", "run", "--application", "apache", "--scale", "300",
+               "--cache-dir", str(tmp_path / "memo")]
+        assert main(run) == 0
+        cold = capsys.readouterr().out
+        assert narrowing_table(cold) == reference
+        assert "final unique bugs: 50" in cold
+        assert "memo: 4 executed, 0 cached" in cold
+        assert main(run) == 0
+        warm = capsys.readouterr().out
+        assert narrowing_table(warm) == reference
+        assert "memo: 0 executed, 4 cached" in warm
+
 
 class TestReplayCommand:
     def test_single_technique(self, capsys):
@@ -359,6 +383,12 @@ class TestStreamingMineAndIndexCommands:
         with pytest.raises(SystemExit, match="--archive"):
             main(["mine", "run", "--application", "mysql",
                   "--index-dir", "/tmp/nowhere"])
+
+    def test_mine_run_archive_rejects_cache_dir(self, tmp_path, archive):
+        with pytest.raises(SystemExit, match="--cache-dir"):
+            main(["mine", "run", "--application", "mysql",
+                  "--archive", str(archive), "--cache-dir", str(tmp_path / "memo")])
+        assert not (tmp_path / "memo").exists()
 
     def test_mine_run_rejects_nonpositive_shard_budget(self, archive):
         with pytest.raises(SystemExit, match="positive"):
