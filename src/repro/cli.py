@@ -231,8 +231,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.corpus.loader import full_study
-    from repro.harness import ProgressReporter, Telemetry, load_journal
+    from repro.harness import ProgressReporter, load_journal
     from repro.harness.campaigns import KIND_REPLAY, run_replay_campaign
+    from repro.obs.metrics import MetricsRegistry
     from repro.rng import DEFAULT_SEED
 
     if args.workers < 1:
@@ -300,7 +301,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if limit is not None:
         faults = faults[: limit]
 
-    telemetry = Telemetry()
+    telemetry = MetricsRegistry()
     report = run_replay_campaign(
         faults,
         factory,
@@ -525,7 +526,8 @@ def _cmd_study_run(args: argparse.Namespace) -> int:
     import contextlib
 
     from repro import obs
-    from repro.harness.telemetry import ProgressReporter, Telemetry
+    from repro.harness.telemetry import ProgressReporter
+    from repro.obs.metrics import MetricsRegistry
     from repro.studygraph import StudyContext, default_registry, run_study
     from repro.studygraph.registry import GraphError
 
@@ -533,7 +535,7 @@ def _cmd_study_run(args: argparse.Namespace) -> int:
 
     if args.workers < 1:
         raise SystemExit("--workers must be at least 1")
-    telemetry = Telemetry()
+    telemetry = MetricsRegistry()
     context = StudyContext.default(
         workers=args.workers,
         cache_dir=_study_cache_dir(args),

@@ -7,6 +7,13 @@ snapshots (:mod:`repro.obs.livestatus`), and segment-index manifests
 new one, never a torn write, and a write that raises leaves no temp
 file behind.
 
+:func:`append_jsonl` and :func:`read_jsonl` are the append-only JSONL
+log behind the campaign journal (:mod:`repro.harness.journal`), the
+trace sink (:mod:`repro.obs.sinks`), and the perf history
+(:mod:`repro.obs.perfdb`).  Every record is one flushed line, so a
+killed writer can tear at most its last line; the reader hands that
+line back as None and each caller applies its own tolerance policy.
+
 Layering: standard library only, so every package may import it.
 """
 
@@ -16,7 +23,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator, TextIO
 
 
 def atomic_write_json(path: str | os.PathLike, payload: Any, **dump_options: Any) -> Path:
@@ -41,3 +48,31 @@ def atomic_write_json(path: str | os.PathLike, payload: Any, **dump_options: Any
             pass
         raise
     return path
+
+
+def append_jsonl(stream: TextIO, record: Any, **dump_options: Any) -> None:
+    """Write ``record`` to ``stream`` as one JSON line, then flush.
+
+    ``dump_options`` pass straight to :func:`json.dumps`, so callers
+    keep their exact byte layout.
+    """
+    stream.write(json.dumps(record, **dump_options) + "\n")
+    stream.flush()
+
+
+def read_jsonl(path: str | os.PathLike) -> Iterator[dict[str, Any] | None]:
+    """Each non-blank line of the JSONL file at ``path``, as a dict.
+
+    A torn or corrupt line (undecodable, or not a JSON object) yields
+    None.  A missing file raises :class:`FileNotFoundError`.
+    """
+    with open(path, "r", encoding="utf-8") as stream:
+        for line in stream:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError:
+                entry = None
+            yield entry if isinstance(entry, dict) else None

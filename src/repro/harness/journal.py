@@ -16,10 +16,11 @@ lines are counted and skipped, never fatal.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import time
 from typing import Any, Mapping
+
+from repro.fsio import append_jsonl, read_jsonl
 
 JOURNAL_MAGIC = "repro.harness.journal"
 JOURNAL_VERSION = 1
@@ -49,27 +50,16 @@ def load_journal(path: str | os.PathLike[str]) -> JournalContents:
     meta: dict[str, Any] = {}
     records: dict[str, dict[str, Any]] = {}
     skipped = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for index, line in enumerate(handle):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                skipped += 1
-                continue
-            if not isinstance(entry, dict):
-                skipped += 1
-                continue
-            if entry.get("type") == "header":
-                if index == 0 and entry.get("journal") == JOURNAL_MAGIC:
-                    meta = entry.get("meta", {})
-                continue
-            if entry.get("type") == "unit" and "key" in entry:
-                records[entry["key"]] = entry
-            else:
-                skipped += 1
+    for index, entry in enumerate(read_jsonl(path)):
+        if entry is None:
+            skipped += 1
+        elif entry.get("type") == "header":
+            if index == 0 and entry.get("journal") == JOURNAL_MAGIC:
+                meta = entry.get("meta", {})
+        elif entry.get("type") == "unit" and "key" in entry:
+            records[entry["key"]] = entry
+        else:
+            skipped += 1
     return JournalContents(meta=meta, records=records, skipped_lines=skipped)
 
 
@@ -103,8 +93,7 @@ class JournalWriter:
             )
 
     def _write_line(self, entry: dict[str, Any]) -> None:
-        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._handle.flush()
+        append_jsonl(self._handle, entry, sort_keys=True)
 
     def append(
         self,

@@ -11,10 +11,9 @@ report into:
   cross-process propagation: a dispatcher's span context travels to
   forked pool workers, whose spans ship back parented under the
   dispatching wave;
-* :mod:`~repro.obs.metrics` -- :class:`MetricsRegistry`, the
-  counters/timers/gauges registry that absorbed
-  ``repro.harness.telemetry.Telemetry``, with deterministic
-  (shard-keyed) gauge merges;
+* :mod:`~repro.obs.metrics` -- :class:`MetricsRegistry`, the one
+  labelled, thread-safe counters/timers/gauges registry behind campaign
+  telemetry and the serve daemon's ``metrics`` exposition;
 * :mod:`~repro.obs.sinks` -- pluggable span sinks: in-memory for tests,
   crash-safe JSONL for ``repro study run --trace``;
 * :mod:`~repro.obs.chrome` -- Chrome ``trace_event`` export, loadable
@@ -29,8 +28,8 @@ report into:
 * :mod:`~repro.obs.livestatus` -- atomic heartbeat snapshots and the
   ``repro study watch`` renderer for live run monitoring;
 * :mod:`~repro.obs.hist` -- the deterministic log-linear
-  :class:`Histogram` shared by the serve metrics exposition, the
-  closed-loop load generator, and the SLO checker, plus the
+  :class:`Histogram` behind every registry timer, shared with the
+  closed-loop load generator and the SLO checker, plus the
   Prometheus-style text exposition reader/writer;
 * :mod:`~repro.obs.resources` -- the background ``/proc`` resource
   sampler (:class:`ResourceSampler`) whose span-attributed RSS/CPU/IO
@@ -44,8 +43,9 @@ returns a shared no-op object and :func:`current_context` returns None;
 instrumented hot paths pay one module-global check.  The studygraph
 benchmark asserts < 5% wall-time overhead with tracing *enabled*.
 
-Layering: this package imports nothing from the rest of ``repro``, so
-every other subsystem may instrument itself freely.
+Layering: this package imports nothing from the rest of ``repro`` beyond
+the stdlib-only :mod:`repro.fsio`, so every other subsystem may
+instrument itself freely.
 """
 
 from repro.obs.chrome import chrome_trace
@@ -73,7 +73,7 @@ from repro.obs.livestatus import (
     render_watch_line,
     write_snapshot,
 )
-from repro.obs.metrics import LOCAL_SHARD, MetricsRegistry, TimerStats
+from repro.obs.metrics import MetricsRegistry, TimerStats
 from repro.obs.perfdb import (
     NodePerf,
     PerfDB,
@@ -132,7 +132,6 @@ from repro.obs.summary import (
 __all__ = [
     "Histogram",
     "JsonlSink",
-    "LOCAL_SHARD",
     "MemorySink",
     "MetricsRegistry",
     "NameStats",

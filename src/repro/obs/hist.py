@@ -212,37 +212,6 @@ class Histogram:
             buckets.append((self.bucket_upper(index), seen))
         return buckets
 
-    # -- serialisation -------------------------------------------------- #
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "lowest": self.lowest,
-            "highest": self.highest,
-            "subbuckets": self.subbuckets,
-            "counts": {str(index): count for index, count in sorted(self.counts.items())},
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min_value if self.count else None,
-            "max": self.max_value if self.count else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Histogram":
-        hist = cls(
-            lowest=float(data.get("lowest", DEFAULT_LOWEST)),
-            highest=float(data.get("highest", DEFAULT_HIGHEST)),
-            subbuckets=int(data.get("subbuckets", DEFAULT_SUBBUCKETS)),
-        )
-        hist.counts = {
-            int(index): int(count) for index, count in data.get("counts", {}).items()
-        }
-        hist.count = int(data.get("count", 0))
-        hist.total = float(data.get("sum", 0.0))
-        if hist.count:
-            hist.min_value = float(data.get("min") or 0.0)
-            hist.max_value = float(data.get("max") or 0.0)
-        return hist
-
 
 # -- Prometheus-style text exposition ----------------------------------- #
 

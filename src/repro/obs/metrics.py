@@ -1,33 +1,33 @@
-"""The run-wide metrics registry: counters, timers, and sharded gauges.
+"""The run-wide metrics registry: labelled counters, timers, and gauges.
 
-:class:`MetricsRegistry` is the single place harness campaigns, the
-archive pipeline, and the study-graph scheduler report their numbers.
-It generalises the original ``repro.harness.telemetry.Telemetry`` (which
-is now a thin alias kept for its import path): counters accumulate
-integers, timers accumulate observed durations, and gauges hold floats
-*per shard* so that folding snapshots from parallel shards is
-deterministic regardless of arrival order.
+:class:`MetricsRegistry` is the one place harness campaigns, the archive
+pipeline, the study-graph scheduler, and the serve daemon report their
+numbers (``repro.harness.telemetry.Telemetry`` is the same class under
+its historical name).  Counters accumulate integers, timers record
+observed durations into a :class:`~repro.obs.hist.Histogram`, and gauges
+hold one last-written float per name.
 
-The old gauge semantics -- last write wins across :meth:`merge` calls --
-made merged values depend on completion order under parallel runs
-(``workers.utilization`` could come from whichever shard finished last).
-Gauges are now keyed by the reporting registry's ``shard`` id and
-reduced *last-by-shard-id* (the value of the lexicographically greatest
-shard key), so any permutation of the same snapshots merges to the same
-value.  :meth:`gauge_max` is the keyed-max reduction for gauges where
-the peak is the meaningful aggregate.
+Counters and timers take optional string labels (``kind="ping"``,
+``status="ok"``); each distinct label set is its own series, and reads
+sum every series whose labels include the ones asked for.  One lock
+guards every mutation, so request threads can record concurrently, and
+:meth:`MetricsRegistry.exposition` renders everything as one
+deterministic Prometheus-style text exposition.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import re
+import threading
 import time
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator
 
-#: Shard key used by registries that never declared one (and by legacy
-#: snapshots that predate sharded gauges).
-LOCAL_SHARD = "local"
+from repro.obs.hist import Histogram, _format_labels, histogram_lines, metric_line
+
+#: A series' label set: sorted ``(label, value)`` pairs.
+Labels = tuple[tuple[str, str], ...]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,147 +46,155 @@ class TimerStats:
         return self.total / self.count
 
 
+def _labels(labels: dict[str, str]) -> Labels:
+    return tuple(sorted(labels.items())) if labels else ()
+
+
+def _matches(series: Labels, wanted: Labels) -> bool:
+    return all(pair in series for pair in wanted)
+
+
+def _timer_stats(hist: Histogram) -> TimerStats:
+    return TimerStats(
+        count=hist.count,
+        total=hist.total,
+        min=hist.min_value if hist.count else 0.0,
+        max=hist.max_value,
+    )
+
+
 class MetricsRegistry:
-    """Named counters, timers, and gauges for one run.
+    """Named, optionally labelled counters, timers, and gauges for one run.
 
     Counters accumulate integers (``units.executed``, ``units.survived``);
-    timers accumulate observed durations (``unit.wall``, ``unit.queue``);
-    gauges hold last-written floats per shard (``workers.utilization``).
-
-    Args:
-        shard: identity of this registry's gauge shard.  Give each
-            parallel reporter a distinct, stable id (``"shard0003"``, a
-            worker index, ...) so merged gauges reduce deterministically.
+    timers record observed durations (``unit.wall``, ``unit.queue``);
+    gauges hold the last-written float (``workers.utilization``).
     """
 
-    def __init__(self, *, shard: str = LOCAL_SHARD) -> None:
-        self.shard = shard
-        self._counters: dict[str, int] = {}
-        self._timers: dict[str, list[float]] = {}  # [count, total, min, max]
-        self._gauges: dict[str, dict[str, float]] = {}  # name -> shard -> value
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._counters: dict[str, dict[Labels, int]] = {}
+        self._timers: dict[str, dict[Labels, Histogram]] = {}
+        self._gauges: dict[str, float] = {}
 
     # -- counters ------------------------------------------------------ #
 
-    def count(self, name: str, amount: int = 1) -> None:
-        """Add ``amount`` to counter ``name``."""
-        self._counters[name] = self._counters.get(name, 0) + amount
+    def count(self, name: str, amount: int = 1, **labels: str) -> None:
+        """Add ``amount`` to counter ``name`` (the series for ``labels``)."""
+        key = _labels(labels)
+        with self._lock:
+            series = self._counters.get(name)
+            if series is None:
+                series = self._counters[name] = {}
+            series[key] = series.get(key, 0) + amount
 
-    def counter(self, name: str) -> int:
-        """Current value of counter ``name`` (0 if never incremented)."""
-        return self._counters.get(name, 0)
+    def counter(self, name: str, **labels: str) -> int:
+        """Counter ``name`` summed over every series carrying ``labels``
+        (0 if never incremented)."""
+        wanted = _labels(labels)
+        with self._lock:
+            series = self._counters.get(name, {})
+            return sum(
+                value for key, value in series.items() if _matches(key, wanted)
+            )
 
     # -- timers -------------------------------------------------------- #
 
-    def observe(self, name: str, seconds: float) -> None:
+    def observe(self, name: str, seconds: float, **labels: str) -> None:
         """Record one observed duration under timer ``name``."""
-        stats = self._timers.get(name)
-        if stats is None:
-            self._timers[name] = [1, seconds, seconds, seconds]
-        else:
-            stats[0] += 1
-            stats[1] += seconds
-            stats[2] = min(stats[2], seconds)
-            stats[3] = max(stats[3], seconds)
+        key = _labels(labels)
+        with self._lock:
+            series = self._timers.get(name)
+            if series is None:
+                series = self._timers[name] = {}
+            hist = series.get(key)
+            if hist is None:
+                hist = series[key] = Histogram()
+            hist.record(seconds)
 
     @contextlib.contextmanager
-    def timed(self, name: str) -> Iterator[None]:
+    def timed(self, name: str, **labels: str) -> Iterator[None]:
         """Context manager observing the enclosed block's wall time."""
         started = time.monotonic()
         try:
             yield
         finally:
-            self.observe(name, time.monotonic() - started)
+            self.observe(name, time.monotonic() - started, **labels)
 
-    def timer(self, name: str) -> TimerStats:
-        """Aggregate stats for timer ``name`` (zeros if never observed)."""
-        stats = self._timers.get(name)
-        if stats is None:
-            return TimerStats(count=0, total=0.0, min=0.0, max=0.0)
-        return TimerStats(count=stats[0], total=stats[1], min=stats[2], max=stats[3])
+    def timer(self, name: str, **labels: str) -> TimerStats:
+        """Aggregate stats for timer ``name`` over every series carrying
+        ``labels`` (zeros if never observed)."""
+        wanted = _labels(labels)
+        merged = Histogram()
+        with self._lock:
+            for key, hist in self._timers.get(name, {}).items():
+                if _matches(key, wanted):
+                    merged.merge(hist)
+        return _timer_stats(merged)
 
     # -- gauges -------------------------------------------------------- #
 
     def gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` for this registry's shard (last write wins
-        *within* a shard; across shards the reduction is deterministic)."""
-        self._gauges.setdefault(name, {})[self.shard] = value
+        """Set gauge ``name`` (last write wins)."""
+        with self._lock:
+            self._gauges[name] = value
 
     def gauge_value(self, name: str, default: float = 0.0) -> float:
-        """Reduced value of gauge ``name``: last-by-shard-id.
-
-        The value written by the lexicographically greatest shard key --
-        identical for any merge order of the same shard snapshots.
-        """
-        shards = self._gauges.get(name)
-        if not shards:
-            return default
-        return shards[max(shards)]
-
-    def gauge_max(self, name: str, default: float = 0.0) -> float:
-        """Keyed-max reduction of gauge ``name`` across shards."""
-        shards = self._gauges.get(name)
-        if not shards:
-            return default
-        return max(shards.values())
-
-    def gauge_shards(self, name: str) -> dict[str, float]:
-        """Per-shard values recorded for gauge ``name``."""
-        return dict(self._gauges.get(name, {}))
+        """Last value written to gauge ``name``."""
+        with self._lock:
+            return self._gauges.get(name, default)
 
     # -- snapshots ----------------------------------------------------- #
 
     def snapshot(self) -> dict[str, Any]:
         """All metrics as one JSON-serialisable dict.
 
-        ``gauges`` carries the reduced per-gauge values (the shape the
-        original Telemetry emitted); ``gauge_shards`` carries the full
-        per-shard breakdown that :meth:`merge` folds deterministically.
+        Unlabelled series appear under their bare name; a labelled one
+        under its exposition spelling, ``name{kind="ping"}``.
         """
-        return {
-            "shard": self.shard,
-            "counters": dict(self._counters),
-            "timers": {
-                name: dataclasses.asdict(self.timer(name)) for name in self._timers
-            },
-            "gauges": {name: self.gauge_value(name) for name in self._gauges},
-            "gauge_shards": {
-                name: dict(shards) for name, shards in self._gauges.items()
-            },
-        }
-
-    def merge(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        Counters add; timers combine their aggregates; gauges fold by
-        shard key, so merging the same set of shard snapshots in any
-        order leaves every :meth:`gauge_value` identical.  Legacy
-        snapshots without ``gauge_shards`` fold under their ``shard`` id
-        (or :data:`LOCAL_SHARD` when absent).
-        """
-        for name, value in snapshot.get("counters", {}).items():
-            self.count(name, value)
-        for name, stats in snapshot.get("timers", {}).items():
-            current = self._timers.get(name)
-            if current is None:
-                self._timers[name] = [
-                    stats["count"], stats["total"], stats["min"], stats["max"],
-                ]
-            else:
-                current[0] += stats["count"]
-                current[1] += stats["total"]
-                current[2] = min(current[2], stats["min"])
-                current[3] = max(current[3], stats["max"])
-        shard_map = snapshot.get("gauge_shards")
-        if shard_map is None:
-            source = snapshot.get("shard", LOCAL_SHARD)
-            shard_map = {
-                name: {source: value}
-                for name, value in snapshot.get("gauges", {}).items()
+        with self._lock:
+            return {
+                "counters": {
+                    name + _format_labels(dict(key)): value
+                    for name, series in self._counters.items()
+                    for key, value in series.items()
+                },
+                "timers": {
+                    name + _format_labels(dict(key)): dataclasses.asdict(
+                        _timer_stats(hist)
+                    )
+                    for name, series in self._timers.items()
+                    for key, hist in series.items()
+                },
+                "gauges": dict(self._gauges),
             }
-        for name, shards in shard_map.items():
-            bucket = self._gauges.setdefault(name, {})
-            for shard, value in shards.items():
-                bucket[shard] = value
+
+    def exposition(self) -> str:
+        """Every metric as Prometheus-style text.
+
+        Gauges, then counters, then timers (as ``_bucket``/``_sum``/
+        ``_count`` histograms), each sorted by name and label set, so two
+        renders of identical state are byte-identical.  Characters a
+        metric name may not carry (the dots of ``unit.wall``) become
+        underscores.
+        """
+        lines: list[str] = []
+        with self._lock:
+            families = (
+                ("gauge", {name: {(): value} for name, value in self._gauges.items()}),
+                ("counter", self._counters),
+                ("histogram", self._timers),
+            )
+            for kind, store in families:
+                for name in sorted(store):
+                    metric = re.sub(r"[^a-zA-Z0-9_:]", "_", name)
+                    lines.append(f"# TYPE {metric} {kind}")
+                    for key, value in sorted(store[name].items()):
+                        if kind == "histogram":
+                            lines.extend(histogram_lines(metric, value, dict(key)))
+                        else:
+                            lines.append(metric_line(metric, value, dict(key)))
+        return "".join(line + "\n" for line in lines)
 
     def summary_lines(self) -> list[str]:
         """Human-readable one-liners for the CLI footer."""

@@ -6,8 +6,9 @@ JSONL file of :class:`PerfRecord`\\ s -- per-node wall seconds, cache
 hit/miss counters, and worker counts, keyed by node version tags and
 the recording git SHA -- written append-only with one flushed line per
 run, so a crashed writer can lose at most its own in-flight record and
-:meth:`PerfDB.read` tolerates the truncated tail (the same crash-safety
-stance as the harness journal and the JSONL trace sink).
+:meth:`PerfDB.read` tolerates the truncated tail.  The lines go through
+:func:`repro.fsio.append_jsonl` / :func:`repro.fsio.read_jsonl`, the
+same JSONL helpers as the harness journal and the trace sink.
 
 On top of the history sit the two consumers:
 
@@ -28,13 +29,14 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as _dt
-import json
 import os
 import statistics
 import subprocess
 import uuid
 from pathlib import Path
 from typing import Any, Iterable, Mapping
+
+from repro.fsio import append_jsonl, read_jsonl
 
 #: Perf record format version (bump on incompatible shape changes).
 PERFDB_VERSION = 1
@@ -245,10 +247,10 @@ class PerfDB:
     def append(self, record: PerfRecord) -> None:
         """Append one record as a single flushed JSON line."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record.to_dict(), separators=(",", ":"), sort_keys=True)
         with open(self.path, "a", encoding="utf-8") as stream:
-            stream.write(line + "\n")
-            stream.flush()
+            append_jsonl(
+                stream, record.to_dict(), separators=(",", ":"), sort_keys=True
+            )
 
     def read(self) -> list[PerfRecord]:
         """Every readable record, oldest first.
@@ -258,23 +260,13 @@ class PerfDB:
         """
         records: list[PerfRecord] = []
         try:
-            stream = open(self.path, "r", encoding="utf-8")
-        except FileNotFoundError:
-            return records
-        with stream:
-            for line in stream:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = json.loads(line)
-                except json.JSONDecodeError:
+            for data in read_jsonl(self.path):
+                if data is None:
                     break
-                if (
-                    isinstance(data, dict)
-                    and data.get("perfdb_version") == PERFDB_VERSION
-                ):
+                if data.get("perfdb_version") == PERFDB_VERSION:
                     records.append(PerfRecord.from_dict(data))
+        except FileNotFoundError:
+            pass
         return records
 
     def _stat_key(self) -> tuple[int, int]:

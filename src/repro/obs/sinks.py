@@ -16,10 +16,12 @@ cover the subsystem's needs:
 
 from __future__ import annotations
 
-import json
+import itertools
 import threading
 from pathlib import Path
 from typing import Any
+
+from repro.fsio import append_jsonl, read_jsonl
 
 
 class NullSink:
@@ -64,10 +66,8 @@ class JsonlSink:
     def emit(self, record: dict[str, Any]) -> None:
         # Lock-guarded so concurrent request threads (the serve daemon)
         # never interleave two records on one line.
-        line = json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
         with self._lock:
-            self._stream.write(line)
-            self._stream.flush()
+            append_jsonl(self._stream, record, separators=(",", ":"), sort_keys=True)
             self.emitted += 1
 
     def close(self) -> None:
@@ -81,16 +81,5 @@ def read_trace(path: str | Path) -> list[dict[str, Any]]:
     A truncated or corrupt tail (a crashed writer's final line) ends the
     read without raising; everything before it is returned.
     """
-    records: list[dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as stream:
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                break
-            if isinstance(record, dict):
-                records.append(record)
-    return records
+    records = read_jsonl(path)
+    return list(itertools.takewhile(lambda record: record is not None, records))

@@ -110,15 +110,6 @@ class TraceSummary:
             for s in self.phases
         ]
 
-    def name_rows(self, limit: int | None = None) -> list[list[Any]]:
-        """``[name, spans, total ms, max ms]`` rows for the CLI."""
-        names = self.names if limit is None else self.names[:limit]
-        return [
-            [s.name, s.count, f"{s.total_seconds * 1000:.1f}",
-             f"{s.max_seconds * 1000:.1f}"]
-            for s in names
-        ]
-
     def slowest_rows(self) -> list[list[Any]]:
         """``[name, wall ms, pid, parent]`` rows, longest span first."""
         return [

@@ -20,7 +20,7 @@ It has exactly one parse fast path, one oracle, and one cache:
   :class:`~repro.bugdb.segments.SegmentedTextIndex`;
 * :mod:`~repro.pipeline.runner` -- :func:`~repro.pipeline.runner.
   mine_archive_file`, streamed parse then mine, with
-  :class:`~repro.harness.telemetry.Telemetry`;
+  :class:`~repro.obs.metrics.MetricsRegistry`;
 * :mod:`~repro.pipeline.cache` -- the content-addressed on-disk store
   behind the study-graph memo, the **cache**;
 * :mod:`~repro.pipeline.records` -- JSON codecs for node payloads.

@@ -5,7 +5,7 @@
 :func:`~repro.pipeline.shardparse.parse_archive_streamed` (optionally
 building an on-disk segmented index as a parse by-product) and mines the
 records, recording both stages in a
-:class:`~repro.harness.telemetry.Telemetry`.  It keeps no cache: the
+:class:`~repro.obs.metrics.MetricsRegistry`.  It keeps no cache: the
 study-graph memo is the repo's only one, and rendered archives mine
 through the ``mined.<app>`` node.
 
@@ -22,7 +22,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.bugdb.enums import Application
-from repro.harness.telemetry import Telemetry
+from repro.obs.metrics import MetricsRegistry
 from repro.mining.pipeline import MiningResult
 from repro.pipeline.formats import format_for
 from repro.pipeline.shardparse import parse_archive_streamed
@@ -42,7 +42,7 @@ class PipelineRun:
 
     application: Application
     result: MiningResult
-    telemetry: Telemetry
+    telemetry: MetricsRegistry
 
     def summary_lines(self) -> list[str]:
         """Human-readable pipeline footer for the CLI."""
@@ -73,7 +73,7 @@ def mine_archive_file(
     *,
     max_shard_bytes: int = DEFAULT_MAX_SHARD_BYTES,
     workers: int = 1,
-    telemetry: Telemetry | None = None,
+    telemetry: MetricsRegistry | None = None,
     index_dir: str | Path | None = None,
 ) -> PipelineRun:
     """Mine an archive **file** through the streaming byte-range path.
@@ -90,7 +90,7 @@ def mine_archive_file(
     Formats without ``index_text`` ignore ``index_dir``.
     """
     fmt = format_for(application)
-    telemetry = telemetry if telemetry is not None else Telemetry()
+    telemetry = telemetry if telemetry is not None else MetricsRegistry()
     use_index = index_dir is not None and fmt.index_text is not None
 
     with telemetry.timed("pipeline.wall"), obs.span(

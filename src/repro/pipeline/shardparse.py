@@ -29,7 +29,7 @@ from repro.bugdb.segments import SegmentedTextIndex, segment_from_index
 from repro.bugdb.textindex import TextIndex
 from repro.harness.pool import UnitExecution, WorkerPool
 from repro.harness.shard import assemble_results
-from repro.harness.telemetry import Telemetry
+from repro.obs.metrics import MetricsRegistry
 from repro.harness.workunit import WorkUnit
 from repro.pipeline.formats import ArchiveFormat
 from repro.pipeline.streamsplit import (
@@ -143,7 +143,7 @@ def parse_archive_streamed(
     *,
     max_shard_bytes: int = DEFAULT_MAX_SHARD_BYTES,
     workers: int = 1,
-    telemetry: Telemetry | None = None,
+    telemetry: MetricsRegistry | None = None,
     index_dir: str | os.PathLike | None = None,
     keep_records: bool = False,
     consumer: Callable[[int, list[Any]], None] | None = None,
@@ -166,7 +166,7 @@ def parse_archive_streamed(
     archive is too large to rematerialize).  ``keep_records=True``
     additionally retains the full record list on the result.
     """
-    telemetry = telemetry if telemetry is not None else Telemetry()
+    telemetry = telemetry if telemetry is not None else MetricsRegistry()
     path = Path(path)
     if index_dir is not None and fmt.index_text is None:
         raise ValueError(

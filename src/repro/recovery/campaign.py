@@ -27,9 +27,7 @@ from typing import Callable, Sequence
 from repro.bugdb.enums import TriggerKind
 from repro.corpus.loader import StudyData
 from repro.corpus.studyspec import StudyFault
-from repro.envmodel.environment import Environment
 from repro.recovery.base import RecoveryTechnique
-from repro.recovery.driver import run_replay_attempts
 from repro.rng import DEFAULT_SEED
 
 TIMING_TRIGGERS = frozenset(
@@ -66,28 +64,6 @@ class SweepPoint:
 def timing_faults(study: StudyData) -> list[StudyFault]:
     """The study faults whose defects are timing-triggered."""
     return [fault for fault in study.all_faults() if fault.trigger in TIMING_TRIGGERS]
-
-
-def _replay_timing_fault(
-    fault: StudyFault,
-    technique: RecoveryTechnique,
-    *,
-    race_window: float,
-    seed: int,
-) -> bool:
-    """Replay one timing fault with an overridden race window.
-
-    A thin wrapper over the driver's shared inject->fail->retry core
-    (:func:`repro.recovery.driver.run_replay_attempts`): the only sweep
-    specifics are the raw per-unit seed and the window override.
-
-    Returns:
-        Whether a retry completed the workload.
-    """
-    _, survived, _ = run_replay_attempts(
-        fault, technique, env=Environment(seed=seed), race_window=race_window
-    )
-    return survived
 
 
 def sweep_retry_budget(

@@ -31,6 +31,7 @@ fallback, and the tests all drive :meth:`StudyService.handle` directly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import time
@@ -38,7 +39,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from repro import obs
-from repro.obs.hist import Histogram, histogram_lines, metric_line
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.admission import (
     REASON_DRAINING,
     AdmissionController,
@@ -65,6 +66,12 @@ from repro.serve.protocol import (
 #: ``ping``, and ``metrics`` are live).
 MEMOIZED_KINDS = frozenset({KIND_STUDY, KIND_MINE, KIND_REPLAY})
 
+#: Exposition names of the request counters :meth:`StudyService.handle`
+#: records and the ``status`` payload reads back.
+REQUESTS = "repro_requests_total"
+MEMO_HITS = "repro_memo_hits_total"
+REJECTED_BUSY = "repro_rejected_busy_total"
+
 
 def _payload_size(payload: Mapping[str, Any]) -> int:
     """Canonical-JSON byte size of a response payload (0 on failure)."""
@@ -79,125 +86,6 @@ def _payload_size(payload: Mapping[str, Any]) -> int:
 def request_key(kind: str, params: Mapping[str, Any]) -> str:
     """Canonical memo key for one request: kind + sorted params JSON."""
     return kind + ":" + json.dumps(dict(params), sort_keys=True, separators=(",", ":"))
-
-
-class RequestStats:
-    """Per-request-kind observability counters and histograms.
-
-    Every request -- admitted or refused -- records exactly one latency
-    observation and one ``requests_total`` increment, so the exposition
-    reconciles with the client side: requests a loadgen sent equal the
-    histogram count for that kind, and its rejection count equals the
-    ``status="rejected-busy"`` counter.  Histograms use the shared
-    default :class:`~repro.obs.hist.Histogram` scheme, so serve-side
-    percentiles agree bucket-for-bucket with loadgen's.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._requests: dict[tuple[str, str], int] = {}
-        self._latency: dict[str, Histogram] = {}
-        self._queue_wait: dict[str, Histogram] = {}
-        self._payload_bytes: dict[str, int] = {}
-
-    def observe(
-        self,
-        kind: str,
-        status: str,
-        *,
-        latency_seconds: float,
-        queue_seconds: float = 0.0,
-        payload_bytes: int = 0,
-    ) -> None:
-        """Record one finished (or refused) request."""
-        with self._lock:
-            self._requests[(kind, status)] = self._requests.get((kind, status), 0) + 1
-            self._latency.setdefault(kind, Histogram()).record(latency_seconds)
-            self._queue_wait.setdefault(kind, Histogram()).record(queue_seconds)
-            if payload_bytes:
-                self._payload_bytes[kind] = (
-                    self._payload_bytes.get(kind, 0) + payload_bytes
-                )
-
-    def requests_total(self, kind: str | None = None, status: str | None = None) -> int:
-        """Total requests observed, optionally filtered."""
-        with self._lock:
-            return sum(
-                count
-                for (k, s), count in self._requests.items()
-                if (kind is None or k == kind) and (status is None or s == status)
-            )
-
-    def latency_histogram(self, kind: str) -> Histogram | None:
-        """A copy of the latency histogram for ``kind`` (None if unseen)."""
-        with self._lock:
-            hist = self._latency.get(kind)
-            return Histogram.from_dict(hist.to_dict()) if hist is not None else None
-
-    def exposition(
-        self,
-        *,
-        uptime_seconds: float | None = None,
-        counters: Mapping[str, float] | None = None,
-        gauges: Mapping[str, float] | None = None,
-    ) -> str:
-        """The Prometheus-style text exposition of everything recorded.
-
-        Deterministically ordered (sorted kinds, sorted label sets) so
-        two scrapes of identical state are byte-identical.
-        """
-        with self._lock:
-            requests = dict(self._requests)
-            latency = {k: Histogram.from_dict(h.to_dict()) for k, h in self._latency.items()}
-            queue_wait = {
-                k: Histogram.from_dict(h.to_dict()) for k, h in self._queue_wait.items()
-            }
-            payload_bytes = dict(self._payload_bytes)
-
-        lines: list[str] = []
-        if uptime_seconds is not None:
-            lines.append("# TYPE repro_uptime_seconds gauge")
-            lines.append(metric_line("repro_uptime_seconds", round(uptime_seconds, 3)))
-        for name, value in sorted((gauges or {}).items()):
-            lines.append(f"# TYPE {name} gauge")
-            lines.append(metric_line(name, value))
-        lines.append("# TYPE repro_requests_total counter")
-        for (kind, status) in sorted(requests):
-            lines.append(
-                metric_line(
-                    "repro_requests_total",
-                    requests[(kind, status)],
-                    {"kind": kind, "status": status},
-                )
-            )
-        for name, value in sorted((counters or {}).items()):
-            lines.append(f"# TYPE {name} counter")
-            lines.append(metric_line(name, value))
-        if payload_bytes:
-            lines.append("# TYPE repro_response_bytes_total counter")
-            for kind in sorted(payload_bytes):
-                lines.append(
-                    metric_line(
-                        "repro_response_bytes_total",
-                        payload_bytes[kind],
-                        {"kind": kind},
-                    )
-                )
-        lines.append("# TYPE repro_request_latency_seconds histogram")
-        for kind in sorted(latency):
-            lines.extend(
-                histogram_lines(
-                    "repro_request_latency_seconds", latency[kind], {"kind": kind}
-                )
-            )
-        lines.append("# TYPE repro_request_queue_seconds histogram")
-        for kind in sorted(queue_wait):
-            lines.extend(
-                histogram_lines(
-                    "repro_request_queue_seconds", queue_wait[kind], {"kind": kind}
-                )
-            )
-        return "\n".join(lines) + "\n"
 
 
 class StudyService:
@@ -238,17 +126,13 @@ class StudyService:
         self._memo: dict[str, dict[str, Any]] = {}
         self._memo_lock = threading.Lock()
         self._monitor_lock = threading.Lock()
-        self._counters = {
-            "requests": 0,
-            "ok": 0,
-            "errors": 0,
-            "rejected": 0,
-            "memo_hits": 0,
-        }
-        self._counter_lock = threading.Lock()
-        self._sequence = 0
+        self._sequence = itertools.count(1)
         self._started = time.monotonic()
-        self.stats = RequestStats()
+        self.metrics = MetricsRegistry()
+        # Present (at 0) from the first scrape, like every counter a
+        # dashboard alerts on.
+        self.metrics.count(MEMO_HITS, 0)
+        self.metrics.count(REJECTED_BUSY, 0)
         self._handlers: dict[str, Callable[[Request], dict[str, Any]]] = {
             KIND_STUDY: self._handle_study,
             KIND_MINE: self._handle_mine,
@@ -313,27 +197,21 @@ class StudyService:
         back as ``status="error"`` responses, admission refusals as
         ``rejected-busy`` / ``shutting-down``.
 
-        Every path -- success, error, refusal -- records exactly one
-        observation in :attr:`stats` (latency, admission wait, response
-        payload bytes), which is what makes the ``metrics`` exposition
-        reconcile with what clients actually sent.
+        Every path -- success, error, refusal -- records the request
+        exactly once in :attr:`metrics` (see :meth:`_record`), which is
+        what makes the ``metrics`` exposition reconcile with what clients
+        actually sent.
         """
         received = time.monotonic()
         decision = self.admission.admit(request.client)
         admitted_at = time.monotonic()
         if not decision.admitted:
-            self._count("rejected")
             response = self._refusal(request, decision)
-            self.stats.observe(
-                request.kind,
-                response.status,
-                latency_seconds=time.monotonic() - received,
-                queue_seconds=admitted_at - received,
-            )
+            self._record(request.kind, response.status, received, admitted_at)
             self._publish_admission()
             return response
 
-        name = self._request_name(request)
+        name = f"{request.kind}#{next(self._sequence)}"
         started = time.monotonic()
         self._heartbeat("dispatched", name)
         status = STATUS_ERROR
@@ -344,12 +222,10 @@ class StudyService:
             ) as span:
                 payload, memoized = self._dispatch(request)
                 span.set(memoized=memoized)
-            self._count("ok")
             status = STATUS_OK
             payload_bytes = _payload_size(payload)
             return Response(id=request.id, status=STATUS_OK, payload=payload)
         except Exception as exc:  # noqa: BLE001 -- a request must never kill the daemon
-            self._count("errors")
             status = STATUS_ERROR
             return Response(
                 id=request.id,
@@ -359,13 +235,7 @@ class StudyService:
         finally:
             self.admission.release()
             self._heartbeat("completed", name, time.monotonic() - started)
-            self.stats.observe(
-                request.kind,
-                status,
-                latency_seconds=time.monotonic() - received,
-                queue_seconds=admitted_at - received,
-                payload_bytes=payload_bytes,
-            )
+            self._record(request.kind, status, received, admitted_at, payload_bytes)
             self._publish_admission()
 
     def begin_drain(self) -> None:
@@ -381,7 +251,7 @@ class StudyService:
             with self._memo_lock:
                 hit = self._memo.get(key)
             if hit is not None:
-                self._count("memo_hits")
+                self.metrics.count(MEMO_HITS)
                 return hit, True
             payload = handler(request)
             with self._memo_lock:
@@ -405,7 +275,6 @@ class StudyService:
         classic single-node commands by the graph's equivalence
         contract.
         """
-        from repro.harness.telemetry import Telemetry
         from repro.studygraph.context import StudyContext
         from repro.studygraph.scheduler import run_study
 
@@ -419,7 +288,7 @@ class StudyService:
             study=self._study,
             workers=self.workers,
             cache=self._cache,
-            telemetry=Telemetry(),
+            telemetry=MetricsRegistry(),
         )
         result = run_study(context, nodes=[name], outputs=[name], registry=registry)
         run = result.runs[name]
@@ -504,15 +373,21 @@ class StudyService:
         if self.monitor is not None:
             with self._monitor_lock:
                 snapshot = self.monitor.snapshot()
-        with self._counter_lock:
-            counters = dict(self._counters)
         with self._memo_lock:
             memo_entries = len(self._memo)
         warm = self.warm()
+        metrics = self.metrics
         return {
             "healthz": obs.healthz_view(snapshot),
             "uptime_seconds": round(self.uptime_seconds, 3),
-            "requests": counters,
+            "requests": {
+                "requests": metrics.counter(REQUESTS),
+                "ok": metrics.counter(REQUESTS, status=STATUS_OK),
+                "errors": metrics.counter(REQUESTS, status=STATUS_ERROR),
+                "rejected": metrics.counter(REQUESTS, status=STATUS_REJECTED_BUSY)
+                + metrics.counter(REQUESTS, status=STATUS_SHUTTING_DOWN),
+                "memo_hits": metrics.counter(MEMO_HITS),
+            },
             "admission": self.admission.snapshot(),
             "memo_entries": memo_entries,
             "warm": warm,
@@ -528,24 +403,12 @@ class StudyService:
         observation happens after the handler returns), so a scrape
         reflects exactly the requests that completed before it.
         """
-        with self._counter_lock:
-            memo_hits = self._counters["memo_hits"]
         admission = self.admission.snapshot()
-        text = self.stats.exposition(
-            uptime_seconds=self.uptime_seconds,
-            counters={
-                "repro_memo_hits_total": float(memo_hits),
-                "repro_rejected_busy_total": float(
-                    self.stats.requests_total(status=STATUS_REJECTED_BUSY)
-                ),
-            },
-            gauges={
-                "repro_admission_pending": float(admission.get("pending", 0)),
-                "repro_admission_max_pending": float(
-                    admission.get("max_pending", 0)
-                ),
-            },
-        )
+        metrics = self.metrics
+        metrics.gauge("repro_uptime_seconds", round(self.uptime_seconds, 3))
+        for field in ("pending", "max_pending"):
+            metrics.gauge(f"repro_admission_{field}", float(admission.get(field, 0)))
+        text = metrics.exposition()
         return {"content_type": "text/plain; version=0.0.4", "text": text}
 
     # -- bookkeeping ----------------------------------------------------- #
@@ -558,16 +421,35 @@ class StudyService:
         )
         return Response(id=request.id, status=status, error=decision.reason)
 
-    def _request_name(self, request: Request) -> str:
-        with self._counter_lock:
-            self._sequence += 1
-            sequence = self._sequence
-        return f"{request.kind}#{sequence}"
+    def _record(
+        self,
+        kind: str,
+        status: str,
+        received: float,
+        admitted_at: float,
+        payload_bytes: int = 0,
+    ) -> None:
+        """Record one finished (or refused) request.
 
-    def _count(self, key: str) -> None:
-        with self._counter_lock:
-            self._counters["requests"] += 1 if key in ("ok", "errors", "rejected") else 0
-            self._counters[key] += 1
+        One ``requests_total`` increment and one latency observation per
+        request, so requests a loadgen sent equal the latency histogram's
+        count for that kind, and its rejections equal the rejected-busy
+        counter.  Latency histograms use the shared default
+        :class:`~repro.obs.hist.Histogram` scheme, so serve-side
+        percentiles agree bucket-for-bucket with loadgen's.
+        """
+        metrics = self.metrics
+        metrics.count(REQUESTS, kind=kind, status=status)
+        if status == STATUS_REJECTED_BUSY:
+            metrics.count(REJECTED_BUSY)
+        metrics.observe(
+            "repro_request_latency_seconds", time.monotonic() - received, kind=kind
+        )
+        metrics.observe(
+            "repro_request_queue_seconds", admitted_at - received, kind=kind
+        )
+        if payload_bytes:
+            metrics.count("repro_response_bytes_total", payload_bytes, kind=kind)
 
     def _heartbeat(self, event: str, name: str, wall_seconds: float = 0.0) -> None:
         if self.monitor is None:
@@ -582,13 +464,15 @@ class StudyService:
         if self.monitor is None:
             return
         stats = self.admission.snapshot()
-        with self._counter_lock:
-            rejected = self._counters["rejected"]
         with self._monitor_lock:
             self.monitor.set_info(
                 queue_depth=stats["pending"],
                 max_pending=stats["max_pending"],
                 draining=stats["draining"],
                 clients=stats["clients"],
-                rejected=rejected,
+                # Every refusal is one of the controller's three reasons;
+                # reading them here spares a registry scan per request.
+                rejected=stats["rejected_queue"]
+                + stats["rejected_quota"]
+                + stats["rejected_draining"],
             )

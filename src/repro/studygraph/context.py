@@ -18,7 +18,7 @@ import dataclasses
 from pathlib import Path
 
 from repro.corpus.loader import StudyData, full_study
-from repro.harness.telemetry import Telemetry
+from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.cache import ParseMineCache
 
 
@@ -38,7 +38,7 @@ class StudyContext:
     study: StudyData
     workers: int = 1
     cache: ParseMineCache | None = None
-    telemetry: Telemetry = dataclasses.field(default_factory=Telemetry)
+    telemetry: MetricsRegistry = dataclasses.field(default_factory=MetricsRegistry)
 
     @classmethod
     def default(
@@ -46,7 +46,7 @@ class StudyContext:
         *,
         workers: int = 1,
         cache_dir: str | Path | None = None,
-        telemetry: Telemetry | None = None,
+        telemetry: MetricsRegistry | None = None,
     ) -> "StudyContext":
         """A context over the shared curated study.
 
@@ -61,5 +61,5 @@ class StudyContext:
             study=full_study(),
             workers=workers,
             cache=ParseMineCache(cache_dir) if cache_dir is not None else None,
-            telemetry=telemetry if telemetry is not None else Telemetry(),
+            telemetry=telemetry if telemetry is not None else MetricsRegistry(),
         )

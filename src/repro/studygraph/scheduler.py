@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro import obs
 from repro.obs import resources as obs_resources
+from repro.obs.metrics import MetricsRegistry
 from repro.harness.engine import run_campaign
-from repro.harness.telemetry import ProgressReporter, Telemetry
+from repro.harness.telemetry import ProgressReporter
 from repro.harness.workunit import WorkUnit
 from repro.studygraph.artifact import (
     DATA_TAG,
@@ -93,7 +94,7 @@ class StudyRunResult:
 
     runs: dict[str, NodeRun]
     outputs: dict[str, dict[str, Any]]
-    telemetry: Telemetry
+    telemetry: MetricsRegistry
     waves: int
 
     @property
@@ -315,16 +316,9 @@ def run_study(
                         {dep: digests[dep] for dep in node.deps}
                     )
                     with obs.span(f"memo:{name}") as memo_span:
-                        meta = (
-                            cache.load(key, META_TAG) if cache is not None else None
-                        )
-                        hit = (
-                            meta is not None
-                            and meta.get("memo_version") == MEMO_VERSION
-                            and "digest" in meta
-                        )
-                        memo_span.set(hit=hit)
-                    if hit:
+                        meta = _memo_meta(cache, key)
+                        memo_span.set(hit=meta is not None)
+                    if meta is not None:
                         digests[name] = meta["digest"]
                         runs[name] = NodeRun(
                             name, STATUS_CACHED, meta["digest"], key,
@@ -439,7 +433,7 @@ def _worker_context(context: StudyContext) -> StudyContext:
         study=context.study,
         workers=1,
         cache=None,
-        telemetry=Telemetry(),
+        telemetry=MetricsRegistry(),
     )
 
 
@@ -469,6 +463,45 @@ def run_single_node(
     return result.outputs[name]
 
 
+def _memo_meta(cache: Any, key: str) -> dict[str, Any] | None:
+    """A node's memo metadata entry, or None when absent or stale."""
+    meta = cache.load(key, META_TAG) if cache is not None else None
+    if meta is None or meta.get("memo_version") != MEMO_VERSION or "digest" not in meta:
+        return None
+    return meta
+
+
+def _memo_walk(
+    context: StudyContext,
+    nodes: Sequence[str] | None,
+    registry: Registry | None,
+) -> Iterator[tuple[NodeSpec, str, dict[str, Any] | None]]:
+    """Resolve the closure's memo entries in topo order, executing nothing.
+
+    Yields ``(node, state, meta)``: ``cached`` with the resolved
+    metadata entry, ``missing`` when the node's inputs resolve but no
+    entry does, and ``unknown`` when an upstream miss makes its key
+    uncomputable.
+    """
+    registry = registry if registry is not None else default_registry()
+    targets = list(nodes) if nodes is not None else [
+        node.name for node in registry.experiments()
+    ]
+    digests: dict[str, str] = {}
+    for name in registry.topo_order(targets):
+        node = registry.node(name)
+        if any(dep not in digests for dep in node.deps):
+            yield node, "unknown", None
+            continue
+        key = node.cache_digest({dep: digests[dep] for dep in node.deps})
+        meta = _memo_meta(context.cache, key)
+        if meta is None:
+            yield node, "missing", None
+        else:
+            digests[name] = meta["digest"]
+            yield node, "cached", meta
+
+
 def study_status(
     context: StudyContext,
     *,
@@ -492,45 +525,18 @@ def study_status(
         that node's ``node:*`` spans, so recorded META time and traced
         time sit side by side.
     """
-    registry = registry if registry is not None else default_registry()
-    targets = list(nodes) if nodes is not None else [
-        node.name for node in registry.experiments()
-    ]
-    order = registry.topo_order(targets)
     traced = (
         traced_node_walls(trace_records) if trace_records is not None else None
     )
-    digests: dict[str, str] = {}
     rows: list[list[str]] = []
-    for name in order:
-        node = registry.node(name)
-        if any(dep not in digests for dep in node.deps):
-            row = [name, node.kind, "unknown", "-", "-"]
-        else:
-            key = node.cache_digest({dep: digests[dep] for dep in node.deps})
-            meta = (
-                context.cache.load(key, META_TAG)
-                if context.cache is not None
-                else None
-            )
-            if (
-                meta is not None
-                and meta.get("memo_version") == MEMO_VERSION
-                and "digest" in meta
-            ):
-                digests[name] = meta["digest"]
-                wall = meta.get("wall_seconds")
-                row = [
-                    name,
-                    node.kind,
-                    "cached",
-                    meta["digest"][:12],
-                    f"{wall * 1000:.1f}" if wall is not None else "-",
-                ]
-            else:
-                row = [name, node.kind, "missing", "-", "-"]
+    for node, state, meta in _memo_walk(context, nodes, registry):
+        row = [node.name, node.kind, state, "-", "-"]
+        if meta is not None:
+            wall = meta.get("wall_seconds")
+            row[3] = meta["digest"][:12]
+            row[4] = f"{wall * 1000:.1f}" if wall is not None else "-"
         if traced is not None:
-            seconds = traced.get(name)
+            seconds = traced.get(node.name)
             row.append(f"{seconds * 1000:.1f}" if seconds is not None else "-")
         rows.append(row)
     return rows
@@ -567,26 +573,8 @@ def memo_walls(
     and recorded a producer time -- the join ``repro perf record`` uses
     to carry cache-satisfied nodes into the perf history.
     """
-    registry = registry if registry is not None else default_registry()
-    targets = list(nodes) if nodes is not None else [
-        node.name for node in registry.experiments()
-    ]
-    if context.cache is None:
-        return {}
-    digests: dict[str, str] = {}
-    walls: dict[str, float] = {}
-    for name in registry.topo_order(targets):
-        node = registry.node(name)
-        if any(dep not in digests for dep in node.deps):
-            continue
-        key = node.cache_digest({dep: digests[dep] for dep in node.deps})
-        meta = context.cache.load(key, META_TAG)
-        if (
-            meta is not None
-            and meta.get("memo_version") == MEMO_VERSION
-            and "digest" in meta
-        ):
-            digests[name] = meta["digest"]
-            if meta.get("wall_seconds") is not None:
-                walls[name] = float(meta["wall_seconds"])
-    return walls
+    return {
+        node.name: float(meta["wall_seconds"])
+        for node, _, meta in _memo_walk(context, nodes, registry)
+        if meta is not None and meta.get("wall_seconds") is not None
+    }

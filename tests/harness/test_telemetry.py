@@ -47,22 +47,6 @@ class TestGauges:
 
 
 class TestSnapshotMerge:
-    def test_merge_folds_counters_timers_gauges(self):
-        a = Telemetry()
-        a.count("units.executed", 2)
-        a.observe("unit.wall", 0.5)
-        b = Telemetry()
-        b.count("units.executed", 3)
-        b.observe("unit.wall", 0.1)
-        b.gauge("workers.count", 4)
-        a.merge(b.snapshot())
-        assert a.counter("units.executed") == 5
-        stats = a.timer("unit.wall")
-        assert stats.count == 2
-        assert stats.min == 0.1
-        assert stats.max == 0.5
-        assert a.gauge_value("workers.count") == 4
-
     def test_snapshot_is_json_shaped(self):
         import json
 

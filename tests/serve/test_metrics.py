@@ -10,6 +10,7 @@ import pytest
 
 from repro import cli
 from repro.envmodel.loadgen import LoadResult, run_closed_loop
+from repro.obs import MetricsRegistry
 from repro.obs.hist import (
     Histogram,
     bucket_percentile,
@@ -19,7 +20,6 @@ from repro.obs.hist import (
 )
 from repro.serve import AdmissionController, StudyServer, StudyService
 from repro.serve.protocol import STATUS_REJECTED_BUSY, Request
-from repro.serve.service import RequestStats
 
 
 def scrape(service):
@@ -30,27 +30,32 @@ def scrape(service):
 
 
 class TestRequestStats:
+    """Request counters and latency histograms live in the registry."""
+
     def test_one_observation_per_request(self):
-        stats = RequestStats()
-        stats.observe("ping", "ok", latency_seconds=0.001)
-        stats.observe("ping", "rejected-busy", latency_seconds=0.0005)
-        assert stats.requests_total() == 2
-        assert stats.requests_total(kind="ping", status="ok") == 1
-        assert stats.latency_histogram("ping").count == 2
-        assert stats.latency_histogram("study") is None
+        service = StudyService()
+        assert service.handle(Request(kind="ping")).ok
+        service.admission.begin_drain()
+        assert not service.handle(Request(kind="ping")).ok
+        metrics = service.metrics
+        assert metrics.counter("repro_requests_total") == 2
+        assert metrics.counter("repro_requests_total", kind="ping", status="ok") == 1
+        assert metrics.timer("repro_request_latency_seconds", kind="ping").count == 2
+        assert metrics.timer("repro_request_latency_seconds", kind="study").count == 0
 
     def test_exposition_deterministic(self):
-        stats = RequestStats()
-        stats.observe("ping", "ok", latency_seconds=0.001, payload_bytes=10)
-        stats.observe("study", "ok", latency_seconds=0.1, payload_bytes=99)
-        assert stats.exposition() == stats.exposition()
+        registry = MetricsRegistry()
+        registry.count("repro_response_bytes_total", 10, kind="ping")
+        registry.observe("repro_request_latency_seconds", 0.001, kind="ping")
+        registry.observe("repro_request_latency_seconds", 0.1, kind="study")
+        assert registry.exposition() == registry.exposition()
 
     def test_exposition_parses_strictly(self):
-        stats = RequestStats()
-        stats.observe("ping", "ok", latency_seconds=0.002, queue_seconds=0.0001)
-        samples = parse_exposition(
-            stats.exposition(uptime_seconds=1.5, counters={"x_total": 2.0})
-        )
+        registry = MetricsRegistry()
+        registry.gauge("repro_uptime_seconds", 1.5)
+        registry.count("x_total", 2)
+        registry.observe("repro_request_latency_seconds", 0.002, kind="ping")
+        samples = parse_exposition(registry.exposition())
         assert exposition_value(samples, "repro_uptime_seconds") == 1.5
         assert exposition_value(samples, "x_total") == 2.0
         assert exposition_value(
@@ -127,14 +132,14 @@ class TestLoadgenReconciliation:
 
     def test_client_and_server_percentiles_share_buckets(self):
         """Same latencies, one through LoadResult and one through the
-        serve-side stats: identical percentile answers, through text."""
+        metrics registry: identical percentile answers, through text."""
         latencies = [0.0004, 0.0011, 0.0012, 0.0030, 0.0200, 0.0900, 1.2]
         client = LoadResult(requests_issued=len(latencies), latencies=list(latencies))
-        stats = RequestStats()
+        registry = MetricsRegistry()
         for value in latencies:
-            stats.observe("ping", "ok", latency_seconds=value)
+            registry.observe("repro_request_latency_seconds", value, kind="ping")
         buckets = exposition_buckets(
-            parse_exposition(stats.exposition()),
+            parse_exposition(registry.exposition()),
             "repro_request_latency_seconds",
             {"kind": "ping"},
         )

@@ -96,20 +96,20 @@ class TestGridFamilies:
         digest, payload = batch_node(params["node"])
         assert first.payload["digest"] == digest
         assert first.payload["text"] == payload["text"]
-        before = service._counters["memo_hits"]
+        before = service.metrics.counter("repro_memo_hits_total")
         second = service.handle(Request(kind="study", params=params))
         assert second.payload == first.payload
-        assert service._counters["memo_hits"] == before + 1
+        assert service.metrics.counter("repro_memo_hits_total") == before + 1
 
 
 class TestMemoization:
     def test_repeat_request_is_a_memo_hit(self, service):
         params = {"node": "catalog"}
         first = service.handle(Request(kind="study", params=params))
-        before = service._counters["memo_hits"]
+        before = service.metrics.counter("repro_memo_hits_total")
         second = service.handle(Request(kind="study", params=params))
         assert second.payload == first.payload
-        assert service._counters["memo_hits"] == before + 1
+        assert service.metrics.counter("repro_memo_hits_total") == before + 1
 
     def test_key_is_order_insensitive(self):
         assert request_key("study", {"a": 1, "b": 2}) == request_key(

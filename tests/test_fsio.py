@@ -1,4 +1,5 @@
-"""The shared temp-file-plus-rename JSON writer and its three callers."""
+"""The shared durable-file helpers and their callers: the temp-file-plus-rename
+JSON writer and the append-only JSONL log."""
 
 import json
 
@@ -7,6 +8,7 @@ import pytest
 from repro import obs
 from repro.bugdb.segments import SegmentedTextIndex
 from repro.fsio import atomic_write_json
+from repro.harness.journal import JournalWriter, load_journal
 from repro.pipeline.cache import ParseMineCache
 
 
@@ -53,3 +55,53 @@ class TestAtomicWriteJson:
             write(tmp_path, bad=True)
         assert path.read_bytes() == before
         assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def _journal_log(path):
+    writer = JournalWriter(path, meta={"kind": "test"})
+    keys = [f"unit-{index}" for index in range(3)]
+
+    def append(index):
+        writer.append(keys[index], {"index": index}, {"ok": True})
+
+    return writer, append, lambda: sorted(load_journal(path).records), keys
+
+
+def _trace_log(path):
+    sink = obs.JsonlSink(path)
+    records = [{"name": f"span-{index}", "start": float(index)} for index in range(3)]
+    return sink, lambda index: sink.emit(records[index]), lambda: obs.read_trace(path), records
+
+
+def _perfdb_log(path):
+    db = obs.PerfDB(path)
+    records = [
+        obs.throughput_record(
+            "stream", wall_seconds=1.0, bytes_count=index, records_count=index,
+            sha="test",
+        )
+        for index in range(3)
+    ]
+
+    def read():
+        return [record.run_id for record in obs.PerfDB(path).read()]
+
+    # PerfDB opens and closes the file per append: nothing stays open.
+    return None, lambda index: db.append(records[index]), read, [
+        record.run_id for record in records
+    ]
+
+
+#: Each JSONL log: a factory returning (writer to close, append, read, expected).
+LOGS = {"journal": _journal_log, "trace": _trace_log, "perfdb": _perfdb_log}
+
+
+class TestJsonlLog:
+    @pytest.mark.parametrize("log", sorted(LOGS))
+    def test_each_record_is_readable_before_the_writer_closes(self, tmp_path, log):
+        writer, append, read, expected = LOGS[log](tmp_path / "log.jsonl")
+        for index in range(len(expected)):
+            append(index)
+            assert read() == expected[: index + 1]
+        if writer is not None:
+            writer.close()
