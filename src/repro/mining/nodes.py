@@ -8,8 +8,12 @@ methodology as explicit graph edges::
 
 plus the Section 6 mining ablations (keyword subsets over the parsed
 MySQL archive, dedup strategies over the parsed Apache archive).  All
-payloads use the :mod:`repro.pipeline` record codecs, so graph entries
-and the fast-archive-path cache speak the same JSON.
+payloads use the :mod:`repro.pipeline` record codecs.
+
+``parsed.mysql`` also carries the keyword-independent MySQL stages
+(:func:`~repro.mining.mysql.archive_layout`: thread layout and per-stem
+keyword hits), so ``mined.mysql`` and the keyword ablations are filters
+over it that decode only their reporting threads.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ from repro.bugdb.enums import Application
 from repro.mining.apache import mine_apache
 from repro.mining.dedup import Deduplicator
 from repro.mining.funnel import funnel_from_trace
-from repro.mining.mysql import mine_mysql
+from repro.mining.keywords import MYSQL_STUDY_KEYWORDS
+from repro.mining.mysql import archive_layout, mine_mysql_from_layout
+from repro.mining.pipeline import MiningResult
 from repro.pipeline import records as _records
 from repro.pipeline.formats import format_for
 from repro.reports.tableformat import format_table, render_classification_table
@@ -49,8 +55,11 @@ def parsed_archive(
     """Artifact: one application's raw archive, rendered and parsed.
 
     Uses the serial reference parse (`ArchiveFormat.parse`), which the
-    sharded fast path is asserted bit-identical to, so graph outputs
-    match the per-command paths by construction.
+    streamed file path is asserted identical to, so graph outputs match
+    the per-command paths by construction.  The MySQL payload also
+    holds the :func:`~repro.mining.mysql.archive_layout` fields
+    (``threads``, ``thread_roots``, ``stem_hits``), built from the
+    parsed records before they are encoded.
 
     Params:
         application: ``apache | gnome | mysql``.
@@ -61,18 +70,35 @@ def parsed_archive(
     corpus = ctx.study.corpus(application)
     text = fmt.render(corpus, params.get("scale"))
     records = fmt.parse(text)
-    return {
+    payload = {
         "application": application.value,
         "scale": params.get("scale"),
         "parser_version": fmt.parser_version,
         "record_count": len(records),
         "records": [fmt.record_to_dict(record) for record in records],
     }
+    if application is Application.MYSQL:
+        payload.update(archive_layout(records))
+    return payload
 
 
 def _decode_records(application: Application, parsed: Mapping[str, Any]) -> list[Any]:
     fmt = format_for(application)
     return [fmt.record_from_dict(data) for data in parsed["records"]]
+
+
+def _mine_parsed_mysql(
+    parsed: Mapping[str, Any], keywords: tuple[str, ...] = MYSQL_STUDY_KEYWORDS
+) -> MiningResult:
+    """MySQL narrowing over a ``parsed.mysql`` payload's layout fields."""
+    records = parsed["records"]
+    decode = format_for(Application.MYSQL).record_from_dict
+    return mine_mysql_from_layout(
+        parsed,
+        [record["message_id"] for record in records],
+        lambda position: decode(records[position]),
+        keywords=keywords,
+    )
 
 
 def mined_result(
@@ -85,8 +111,11 @@ def mined_result(
     """
     application = Application(params["application"])
     fmt = format_for(application)
-    records = _decode_records(application, _single_input(inputs))
-    result = fmt.mine(records, None)
+    parsed = _single_input(inputs)
+    if application is Application.MYSQL:
+        result = _mine_parsed_mysql(parsed)
+    else:
+        result = fmt.mine(_decode_records(application, parsed), None)
     payload = _records.result_to_payload(result, fmt.item_to_dict)
     payload["application"] = application.value
     payload["miner_version"] = fmt.miner_version
@@ -170,10 +199,7 @@ def ablate_keywords(
         keywords: comma-joined keyword subset (order preserved).
     """
     keywords = tuple(params["keywords"].split(","))
-    messages = _decode_records(
-        Application.MYSQL, _single_input(inputs)
-    )
-    result = mine_mysql(messages, keywords=keywords)
+    result = _mine_parsed_mysql(_single_input(inputs), keywords)
     recall = len(result.items) / 44
     text = format_table(
         ["quantity", "value"],

@@ -48,7 +48,11 @@ class ArchiveFormat:
             ``parse_archive`` reference path.
         mine: ``(records, index) -> MiningResult``; ``index`` is a
             positional :class:`TextIndex` or None (only the MySQL miner
-            uses one).
+            uses one).  The streamed file path and the oracle tests
+            call it; the study graph's ``mined.<app>`` does too, except
+            for MySQL, which filters ``parsed.mysql``'s precomputed
+            thread layout and keyword hits
+            (:func:`~repro.mining.mysql.mine_mysql_from_layout`).
         record_to_dict / record_from_dict: JSON codec for the parsed
             records in ``parsed.<app>`` payloads.
         item_to_dict / item_from_dict: JSON codec for the mined items in

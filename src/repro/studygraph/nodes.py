@@ -38,9 +38,9 @@ from repro.scenarios import nodes as scenario_nodes
 from repro.studygraph.node import KIND_ARTIFACT, GridSpec, NodeSpec
 from repro.studygraph.registry import Registry
 
-#: MySQL keyword subsets for the Section 6 mining ablation.  Three (not
-#: one per prefix length) so the ablation wave packs evenly onto four
-#: workers alongside the other long-running nodes.
+#: MySQL keyword subsets for the Section 6 mining ablation: the study
+#: set's proper prefixes (the full set is ``mined.mysql``).  Each is a
+#: cheap filter over ``parsed.mysql``'s per-stem hit lists.
 KEYWORD_SUBSETS = {
     "crash": "crash",
     "crash-seg": "crash,segmentation",
@@ -75,6 +75,9 @@ def build_registry() -> Registry:
                 mining_nodes.parsed_archive,
                 deps=(f"corpus.{app.value}",),
                 params={"application": app.value, "scale": None},
+                # 2: the MySQL payload carries the thread layout and
+                # per-stem keyword hits that its consumers filter.
+                version="2" if app is Application.MYSQL else "1",
                 kind=KIND_ARTIFACT,
                 title=f"Rendered + parsed {app.display_name} archive",
             )

@@ -7,6 +7,9 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import obs
+from repro.bugdb.enums import Application
+from repro.mining import mine_mysql
+from repro.pipeline.formats import format_for
 from repro.serve.admission import AdmissionController
 from repro.serve.protocol import (
     STATUS_ERROR,
@@ -81,6 +84,25 @@ class TestDigestEquality:
         assert response.ok
         digest, _ = batch_node("E1", overrides)
         assert response.payload["digest"] == digest
+
+    def test_keyword_override_outside_study_stems_matches_batch_mine(
+        self, service, study
+    ):
+        # "mutex" has no precomputed hit list in parsed.mysql, so the
+        # ablation falls back to a scan for it.
+        node = "ablate.keywords.crash"
+        overrides = {node: {"keywords": "died,mutex"}}
+        response = service.handle(
+            Request(kind="study", params={"node": node, "overrides": overrides})
+        )
+        assert response.ok
+        fmt = format_for(Application.MYSQL)
+        messages = fmt.parse(fmt.render(study.corpus(Application.MYSQL), None))
+        found = len(mine_mysql(messages, keywords=("died", "mutex")).items)
+        payload = response.payload["payload"]
+        assert payload["keywords"] == ["died", "mutex"]
+        assert payload["unique_bugs"] == found
+        assert payload["recall"] == found / 44
 
 
 class TestGridFamilies:
